@@ -474,8 +474,8 @@ void run_structure(JsonReporter& json, const char* structure,
 /// injectors, a lot). This section removes the host entirely: the simulated
 /// single-segment PIM queue (segment_threshold -> inf, combining off) is one
 /// core serving every op at exactly Lpim — an M/D/1 server with Poisson
-/// arrivals from the ArrivalPacer — and virtual time makes the measurement
-/// exact and bit-identical across runs. These are the conformance.latency
+/// arrivals from the sim's client actors — and virtual time makes the
+/// measurement exact and bit-identical across runs. These are the conformance.latency
 /// rows perf_gate.py holds to the tight divergence bounds
 /// ("openloop.sim.*"); the runtime rows ("openloop.queue.*") are reported
 /// for the record but not divergence-gated.

@@ -113,7 +113,7 @@ if [[ "$skip_tsan" == 0 ]]; then
   cmake --preset tsan > /dev/null
   cmake --build build-tsan -j --target \
     test_runtime test_mailbox_batch test_spsc_ring test_obs test_telemetry \
-    test_sentinel_refresh test_extensions
+    test_sentinel_refresh test_extensions test_queue_protocol
   # No suppressions: the runtime message path must be genuinely race-free.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_runtime
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_mailbox_batch
@@ -131,6 +131,9 @@ if [[ "$skip_tsan" == 0 ]]; then
   # adaptive-combining flips racing the send path.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_sentinel_refresh
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_extensions
+  # The shared queue protocol on real threads, faults included: the
+  # self-addressed hand-off list and the per-vault counters CPUs read racily.
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_queue_protocol
   # Reclamation seam: the protect/retire race and the policy-parameterized
   # baseline matrix are the TSan targets for the HP publish/scan fences.
   cmake --build build-tsan -j --target test_reclaim test_baselines \

@@ -1,20 +1,21 @@
-// PIM-managed FIFO queue (Section 5, Algorithm 1).
+// PIM-managed FIFO queue (Section 5, Algorithm 1) on the real-thread
+// runtime.
 //
 // The queue is a chain of segments, each resident in some vault. Two roles
 // travel along the chain: the ENQUEUE segment (accepts new nodes) and the
 // DEQUEUE segment (surrenders nodes); when they sit in different vaults,
-// enqueues and dequeues are served by two PIM cores in parallel. When a
-// segment outgrows the threshold, its core hands the enqueue role to
-// another core (newEnqSeg); when the dequeue segment drains, its core hands
-// the dequeue role to the core holding the next segment (newDeqSeg).
+// enqueues and dequeues are served by two PIM cores in parallel. The
+// vault-side protocol — segments, newEnqSeg/newDeqSeg hand-off, rejection,
+// fat-node combining — is core/queue_protocol.hpp, shared with the
+// simulator; this class is its runtime binding.
 //
 // The message path batches at both crossings (Section 5.1 / 5.2):
 //  - CPU side: co-located enqueue (and dequeue) requests combine so up to
 //    RequestCombiner::kMaxCombine ride one crossbar message;
 //  - PIM side: the core receives a whole drained batch from the runtime,
-//    appends all enqueued values as one fat node's worth of work (one local
-//    access per fat_node_capacity values under injection), and pipelines
-//    the replies with a shared delivery time (one fat response message).
+//    serves its enqueues as one fat node's worth of work and its dequeues
+//    as consecutive fat-node reads, and pipelines the replies with a shared
+//    delivery time (one fat response message).
 //
 // CPUs learn role locations from a shared directory (standing in for the
 // paper's notification broadcast); a stale read leads to a rejected request
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "common/cacheline.hpp"
+#include "core/queue_protocol.hpp"
 #include "runtime/combiner.hpp"
 #include "runtime/system.hpp"
 
@@ -35,19 +37,9 @@ namespace pimds::core {
 
 class PimFifoQueue {
  public:
-  struct Options {
-    /// Segment length threshold (Algorithm 1 line 13).
-    std::uint64_t segment_threshold = 1024;
-    /// Segment placement: antipodal to the dequeue core (see the simulator
-    /// twin in sim/ds/queues.hpp for why round-robin can serialize the two
-    /// roles onto one core). Set false for strict round-robin.
-    bool antipodal_placement = true;
-    /// Section 5.1's further optimization (default on): the enqueue core
-    /// appends every enqueue of a drained batch as one "fat" node's worth
-    /// of work, charging one local access per fat_node_capacity values
-    /// under latency injection.
-    bool enqueue_combining = true;
-    std::size_t fat_node_capacity = 8;
+  /// Protocol options (placement, threshold, fat-node combining — on by
+  /// default here — and the mutation faults) plus the CPU-side knobs.
+  struct Options : QueueProtocolOptions {
     /// CPU-side request combining: co-located waiting requests ride one
     /// crossbar message (off = one message per request, the seed path).
     bool cpu_combining = true;
@@ -75,34 +67,31 @@ class PimFifoQueue {
 
   /// Racy stats snapshots.
   std::uint64_t approx_size() const noexcept {
-    const auto enq = enq_count_.value.load(std::memory_order_relaxed);
-    const auto deq = deq_count_.value.load(std::memory_order_relaxed);
-    return enq >= deq ? enq - deq : 0;
+    const std::uint64_t enqs = protocol_.count(kEnqOps);
+    const std::uint64_t pops =
+        protocol_.count(kDeqOps) - protocol_.count(kEmptyDequeues);
+    return enqs >= pops ? enqs - pops : 0;
   }
   std::uint64_t rejections() const noexcept {
     return rejections_.value.load(std::memory_order_relaxed);
   }
   std::uint64_t segments_created() const noexcept {
-    return segments_created_.value.load(std::memory_order_relaxed);
+    return protocol_.count(kSegmentsCreated);
   }
   std::uint64_t segments_destroyed() const noexcept {
-    return segments_destroyed_.value.load(std::memory_order_relaxed);
+    return protocol_.count(kSegmentsDestroyed);
   }
   /// Segments currently resident in the vaults: the initial segment plus
   /// every hand-off-created one, minus those destroyed when exhausted.
   /// After the system quiesces this is exactly what the vaults' net
-  /// alloc−free balance must account for (nodes all freed on dequeue), so
-  /// the shutdown balance assertion compares against it.
+  /// alloc−free balance must account for (values are all freed on
+  /// dequeue), so the shutdown balance assertion compares against it.
   std::uint64_t live_segments() const noexcept {
     return 1 + segments_created() - segments_destroyed();
   }
   /// Largest enqueue batch combined into one fat node so far.
   std::uint64_t max_enqueue_batch() const noexcept {
-    return max_enq_batch_.value.load(std::memory_order_relaxed);
-  }
-  /// Largest dequeue batch served as consecutive fat-node reads so far.
-  std::uint64_t max_dequeue_batch() const noexcept {
-    return max_deq_batch_.value.load(std::memory_order_relaxed);
+    return protocol_.count(kMaxEnqBatch);
   }
   /// Largest CPU-side request batch shipped in one message (diagnostics).
   std::uint64_t max_request_batch() const noexcept {
@@ -110,88 +99,36 @@ class PimFifoQueue {
   }
 
  private:
-  struct Node {
-    std::uint64_t value;
-    Node* next;
-  };
-
-  /// Algorithm 1's segment: head/tail pointers over vault-resident nodes.
-  struct Segment {
-    Node* head = nullptr;  ///< newest node (enqueue side)
-    Node* tail = nullptr;  ///< oldest node (dequeue side)
-    std::uint64_t count = 0;
-    std::size_t next_seg_cid = ~std::size_t{0};
-    Segment* next_in_queue = nullptr;  ///< this core's segQueue link
-  };
-
-  /// Per-vault state; touched only by that vault's PIM core.
-  struct VaultState {
-    Segment* enq_seg = nullptr;
-    Segment* deq_seg = nullptr;
-    Segment* seg_queue_head = nullptr;  ///< oldest segment created here
-    Segment* seg_queue_tail = nullptr;
-  };
-
-  struct Reply {
-    bool accepted = false;
-    bool has_value = false;
-    std::uint64_t value = 0;
-  };
-
-  /// One decoded enqueue awaiting its append (value + requester slot).
-  struct PendingEnq {
+  /// One decoded client request: the enqueued value (0 for a dequeue) and
+  /// the requester's ResponseSlot<QueueReply>.
+  struct Request {
     std::uint64_t value;
     void* slot;
   };
 
-  enum Kind : std::uint32_t {
-    kEnq = 1,
-    kDeq = 2,
-    kNewEnqSeg = 3,
-    kNewDeqSeg = 4,
-    kEnqBatch = 5,  ///< CPU-combined enqueues (fat payload in the message)
-    kDeqBatch = 6,  ///< CPU-combined dequeues (fat payload in the message)
+  /// Per-vault scratch of one drain pass; touched only by that vault's core.
+  struct Scratch {
+    std::vector<Request> enqs;
+    std::vector<Request> deqs;
+    /// Hand-offs this core sent to itself, delivered after the batch.
+    std::vector<Handoff> self_sends;
   };
 
+  class Port;
+
+  /// One client operation: send it (combined or direct) to the core the
+  /// directory names, resending on rejection until a core accepts.
+  QueueReply call(bool enq, std::uint64_t value);
   void handle_batch(runtime::PimCoreApi& api, const runtime::Message* msgs,
                     std::size_t n);
-  void handle(runtime::PimCoreApi& api, const runtime::Message& m);
-  void handle_enq(runtime::PimCoreApi& api, const runtime::Message& m);
-  void handle_deq(runtime::PimCoreApi& api, const runtime::Message& m);
-  void handle_deq_batch(runtime::PimCoreApi& api, const runtime::Message& m);
-  /// Append a combined enqueue batch as one fat node's worth of work and
-  /// publish all replies with one shared delivery time.
-  void serve_enq_batch(runtime::PimCoreApi& api,
-                       std::vector<PendingEnq>& batch);
-  /// Pop a combined dequeue batch, charging one local access per fat node's
-  /// worth of consecutive values (mirrors serve_enq_batch), and publish all
-  /// replies with one shared delivery time. `slots` holds the requesters'
-  /// ResponseSlot<Reply> pointers in arrival order.
-  void serve_deq_batch(runtime::PimCoreApi& api, std::vector<void*>& slots);
-  /// Pop one value / pass the dequeue role along (Algorithm 1 lines 23-35).
-  /// `charge_node_read` is false when a batch caller amortizes the access.
-  Reply serve_one_deq(runtime::PimCoreApi& api, bool charge_node_read = true);
-  /// Hand the enqueue role off when the segment outgrew the threshold.
-  void split_if_full(runtime::PimCoreApi& api);
-  std::size_t pick_next_core(std::size_t self) const;
 
   runtime::PimSystem& system_;
   Options options_;
-  std::vector<CachePadded<VaultState>> vaults_;
+  QueueProtocol protocol_;
+  std::vector<CachePadded<Scratch>> scratch_;
   runtime::RequestCombiner enq_combiner_;
   runtime::RequestCombiner deq_combiner_;
-
-  // CPU-visible role directory.
-  CachePadded<std::atomic<std::size_t>> enq_cid_{0};
-  CachePadded<std::atomic<std::size_t>> deq_cid_{0};
-
-  CachePadded<std::atomic<std::uint64_t>> enq_count_{0};
-  CachePadded<std::atomic<std::uint64_t>> deq_count_{0};
   CachePadded<std::atomic<std::uint64_t>> rejections_{0};
-  CachePadded<std::atomic<std::uint64_t>> segments_created_{0};
-  CachePadded<std::atomic<std::uint64_t>> segments_destroyed_{0};
-  CachePadded<std::atomic<std::uint64_t>> max_enq_batch_{0};
-  CachePadded<std::atomic<std::uint64_t>> max_deq_batch_{0};
 };
 
 }  // namespace pimds::core

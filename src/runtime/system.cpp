@@ -55,18 +55,27 @@ void PimCoreApi::charge_local_access(std::uint64_t n) const {
   spin_for_ns(static_cast<std::uint64_t>(injector.params().pim()) * n);
 }
 
-std::uint64_t PimCoreApi::reply_ready_ns() const {
+std::uint64_t PimCoreApi::reply_deadline_ns() const {
   auto& injector = LatencyInjector::instance();
   if (!injector.enabled()) return 0;
-  const auto lmsg = static_cast<std::uint64_t>(injector.params().message());
   // The response_flight phase is measured by the consumer (publish stamp →
   // delivery instant, ResponseSlot::await), not recorded here as the
   // modeled constant — see the degenerate-histogram fix in DESIGN.md §5e.
-  if (system_.config_.pipelined_responses) return now_ns() + lmsg;
+  return now_ns() + static_cast<std::uint64_t>(injector.params().message());
+}
+
+void PimCoreApi::stall_if_unpipelined() const {
+  auto& injector = LatencyInjector::instance();
+  if (system_.config_.pipelined_responses || !injector.enabled()) return;
   // Unpipelined ablation: the core stalls until the reply would have been
   // received, then serves the next request (Section 5.2's "no pipelining"
   // column).
-  spin_for_ns(lmsg);
+  spin_for_ns(static_cast<std::uint64_t>(injector.params().message()));
+}
+
+std::uint64_t PimCoreApi::reply_ready_ns() const {
+  if (system_.config_.pipelined_responses) return reply_deadline_ns();
+  stall_if_unpipelined();
   return 0;
 }
 

@@ -72,6 +72,13 @@ class PimCoreApi {
   /// core instead stalls here until the reply would have been received.
   std::uint64_t reply_ready_ns() const;
 
+  /// The two halves of reply_ready_ns() for handlers that stall only after
+  /// some replies: the delivery deadline of a reply published now (now +
+  /// Lmessage under injection, else 0), and the unpipelined ablation's
+  /// Lmessage stall (a no-op when responses are pipelined or uninjected).
+  std::uint64_t reply_deadline_ns() const;
+  void stall_if_unpipelined() const;
+
  private:
   PimSystem& system_;
   std::size_t vault_id_;

@@ -1,6 +1,5 @@
 #include <deque>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "sim/ds/queues.hpp"
@@ -37,46 +36,13 @@ RunResult run_fc_queue(const QueueConfig& cfg, bool single_lock) {
       }
     };
     std::uint64_t total_ops = 0;
-    const auto spawn = [&](std::string name, bool is_enq, std::size_t slot) {
-      engine.spawn(std::move(name), [&, is_enq, slot](Context& ctx) {
-        check::ThreadLog* log =
-            cfg.recorder != nullptr ? &cfg.recorder->log(slot) : nullptr;
-        ArrivalPacer pacer(cfg, ctx);
-        std::uint64_t ops = 0;
-        while (ctx.now() < cfg.duration_ns) {
-          const Time intended = pacer.next(ctx);
-          if (intended >= cfg.duration_ns) break;
-          const Time issued = ctx.now();
-          const std::uint64_t value =
-              !is_enq ? 0
-              : log != nullptr
-                  ? ((static_cast<std::uint64_t>(slot) + 1) << 48) | ops
-                  : ctx.rng().next();
-          if (log != nullptr) {
-            log->begin(is_enq ? check::kEnq : check::kDeq, value, issued);
-          }
+    spawn_queue_clients(
+        engine, cfg, total_ops,
+        [&](Context& ctx, bool is_enq, std::uint64_t value, Time) {
           const std::optional<std::uint64_t> out =
               fc.submit(ctx, Req{is_enq, value}, serve);
-          if (log != nullptr) {
-            log->end(is_enq ? check::kRetTrue
-                            : out.value_or(check::kRetEmpty),
-                     ctx.now());
-          }
-          if (cfg.latency_sink_ns != nullptr) {
-            cfg.latency_sink_ns->push_back(
-                static_cast<double>(ctx.now() - intended));
-          }
-          ++ops;
-        }
-        total_ops += ops;
-      });
-    };
-    for (std::size_t i = 0; i < cfg.enqueuers; ++i) {
-      spawn("enq" + std::to_string(i), true, i);
-    }
-    for (std::size_t i = 0; i < cfg.dequeuers; ++i) {
-      spawn("deq" + std::to_string(i), false, cfg.enqueuers + i);
-    }
+          return is_enq ? check::kRetTrue : out.value_or(check::kRetEmpty);
+        });
     engine.run();
     return {total_ops, cfg.duration_ns};
   }
@@ -97,53 +63,22 @@ RunResult run_fc_queue(const QueueConfig& cfg, bool single_lock) {
   DeqCombiner deq_fc({costs.charge_lock_llc, costs.charge_slot_llc});
 
   std::uint64_t total_ops = 0;
-  for (std::size_t i = 0; i < cfg.enqueuers; ++i) {
-    engine.spawn("enq" + std::to_string(i), [&, i](Context& ctx) {
-      check::ThreadLog* log =
-          cfg.recorder != nullptr ? &cfg.recorder->log(i) : nullptr;
-      ArrivalPacer pacer(cfg, ctx);
-      std::uint64_t ops = 0;
-      while (ctx.now() < cfg.duration_ns) {
-        const Time intended = pacer.next(ctx);
-        if (intended >= cfg.duration_ns) break;
-        const Time issued = ctx.now();
-        const std::uint64_t value =
-            log != nullptr
-                ? ((static_cast<std::uint64_t>(i) + 1) << 48) | ops
-                : ctx.rng().next();
-        if (log != nullptr) log->begin(check::kEnq, value, issued);
-        enq_fc.submit(
-            ctx, value,
-            [&](Context& cctx, std::vector<EnqCombiner::Pending>& batch) {
-              for (auto& p : batch) {
-                if (cfg.charge_node_access) cctx.charge(MemClass::kCpuDram);
-                items.push_back(p.request);
-                p.slot->set(cctx, true);
-              }
-            });
-        if (log != nullptr) log->end(check::kRetTrue, ctx.now());
-        if (cfg.latency_sink_ns != nullptr) {
-          cfg.latency_sink_ns->push_back(
-              static_cast<double>(ctx.now() - intended));
+  spawn_queue_clients(
+      engine, cfg, total_ops,
+      [&](Context& ctx, bool is_enq, std::uint64_t value,
+          Time) -> std::uint64_t {
+        if (is_enq) {
+          enq_fc.submit(
+              ctx, value,
+              [&](Context& cctx, std::vector<EnqCombiner::Pending>& batch) {
+                for (auto& p : batch) {
+                  if (cfg.charge_node_access) cctx.charge(MemClass::kCpuDram);
+                  items.push_back(p.request);
+                  p.slot->set(cctx, true);
+                }
+              });
+          return check::kRetTrue;
         }
-        ++ops;
-      }
-      total_ops += ops;
-    });
-  }
-  for (std::size_t i = 0; i < cfg.dequeuers; ++i) {
-    engine.spawn("deq" + std::to_string(i), [&, i](Context& ctx) {
-      check::ThreadLog* log =
-          cfg.recorder != nullptr
-              ? &cfg.recorder->log(cfg.enqueuers + i)
-              : nullptr;
-      ArrivalPacer pacer(cfg, ctx);
-      std::uint64_t ops = 0;
-      while (ctx.now() < cfg.duration_ns) {
-        const Time intended = pacer.next(ctx);
-        if (intended >= cfg.duration_ns) break;
-        const Time issued = ctx.now();
-        if (log != nullptr) log->begin(check::kDeq, 0, issued);
         const std::optional<std::uint64_t> out = deq_fc.submit(
             ctx, 0,
             [&](Context& cctx, std::vector<DeqCombiner::Pending>& batch) {
@@ -157,16 +92,8 @@ RunResult run_fc_queue(const QueueConfig& cfg, bool single_lock) {
                 p.slot->set(cctx, out);
               }
             });
-        if (log != nullptr) log->end(out.value_or(check::kRetEmpty), ctx.now());
-        if (cfg.latency_sink_ns != nullptr) {
-          cfg.latency_sink_ns->push_back(
-              static_cast<double>(ctx.now() - intended));
-        }
-        ++ops;
-      }
-      total_ops += ops;
-    });
-  }
+        return out.value_or(check::kRetEmpty);
+      });
   engine.run();
   return {total_ops, cfg.duration_ns};
 }

@@ -1,10 +1,10 @@
-// Simulated PIM-managed FIFO queue: a faithful rendition of Algorithm 1,
-// including segment hand-off between PIM cores, CPU retry on rejection, and
-// response pipelining (Figure 6).
-#include <algorithm>
+// Simulated PIM-managed FIFO queue (Algorithm 1): the PIM cores run the
+// shared protocol core (core/queue_protocol.hpp) — the same handlers the
+// real-thread runtime ships — through a port onto the simulator's engine
+// Context, mailboxes and response slots; the CPU actors, the pre-fill and
+// the latency attribution live here.
 #include <cassert>
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,23 +17,14 @@ namespace pimds::sim {
 
 namespace {
 
-struct Segment {
-  std::deque<std::uint64_t> nodes;
-  std::uint64_t enq_count = 0;  ///< total ever enqueued (threshold check)
-  std::size_t next_seg_cid = ~std::size_t{0};
-};
-
-struct Reply {
-  bool accepted = false;   ///< false => wrong core, CPU must resend
-  bool has_value = false;  ///< dequeue: a node was returned
-  std::uint64_t value = 0;
-};
+using core::Handoff;
+using core::QueueReply;
 
 struct QMsg {
-  enum class Kind : std::uint8_t { kEnq, kDeq, kNewEnqSeg, kNewDeqSeg, kStop };
+  enum class Kind : std::uint8_t { kEnq, kDeq, kHandoff, kStop };
   Kind kind = Kind::kStop;
-  std::uint64_t value = 0;
-  SimSlot<Reply>* reply = nullptr;
+  std::uint64_t value = 0;  ///< enqueued value, or the Handoff
+  SimSlot<QueueReply>* reply = nullptr;
   // Trace context (obs/phase.hpp): the CPU's virtual send time, so the
   // serving core can attribute the mailbox_queue phase, and the causal
   // request id correlating CPU `op` spans with core-side events. 0 on
@@ -42,20 +33,41 @@ struct QMsg {
   std::uint64_t req = 0;
 };
 
-/// CPU-visible directory of which core currently owns each special segment.
-/// Stands in for the paper's notification broadcast: cores update it when
-/// they take ownership; CPUs consult it after a rejection. It may be stale,
-/// which is exactly the race the rejection path exists to absorb.
-struct Directory {
-  std::size_t enq_cid = 0;
-  std::size_t deq_cid = 0;
-};
+/// The protocol port on a simulated PIM core (see core/queue_protocol.hpp).
+/// Hand-offs, self-addressed ones included, travel through the mailboxes
+/// and pay Lmessage like any other message.
+struct SimPort {
+  std::vector<Mailbox<QMsg>>* inboxes;
+  Context* ctx;  ///< null until the core's fiber runs (pre-fill allocates only)
+  std::size_t vault;
+  double msg_ns;
+  bool pipelining;
+  /// Start of the current request's service: bounds its vault_service phase.
+  Time serve_start = 0;
 
-struct Vault {
-  Mailbox<QMsg> inbox;
-  std::deque<std::shared_ptr<Segment>> seg_queue;
-  std::shared_ptr<Segment> enq_seg;
-  std::shared_ptr<Segment> deq_seg;
+  std::size_t vault_id() const noexcept { return vault; }
+  void send(std::size_t core, Handoff h) {
+    (*inboxes)[core].send(
+        *ctx, QMsg{QMsg::Kind::kHandoff, static_cast<std::uint64_t>(h)});
+  }
+  void charge_local(std::uint64_t n) { ctx->charge(MemClass::kPimLocal, n); }
+  Time reply_time() const { return ctx->now() + static_cast<Time>(msg_ns); }
+  void reply(const QMsg& req, QueueReply r, Time ready) {
+    req.reply->set(*ctx, r, static_cast<double>(ready - ctx->now()));
+    // Per-op attribution: the reply closes the request's vault_service
+    // phase and adds the response_flight leg. In virtual time the phases
+    // tile the requester's end-to-end latency exactly.
+    if (req.issue_ns == 0) return;
+    obs::record_sim_phase(obs::Phase::kVaultService, ctx->now() - serve_start);
+    obs::record_sim_phase(obs::Phase::kResponseFlight,
+                          static_cast<Time>(msg_ns));
+  }
+  void stall_if_unpipelined() {
+    if (!pipelining) ctx->advance(msg_ns);
+  }
+  void trace(const char* event) { ctx->trace_instant(event, {"vault", vault}); }
+  static void* allocate(std::size_t bytes) { return ::operator new(bytes); }
+  static void deallocate(void* p, std::size_t) { ::operator delete(p); }
 };
 
 }  // namespace
@@ -69,96 +81,47 @@ PimQueueResult run_pim_queue(const QueueConfig& cfg,
   const double msg_ns = cfg.params.message();
   const std::size_t total_cpus = cfg.enqueuers + cfg.dequeuers;
 
-  std::vector<std::unique_ptr<Vault>> vaults;
-  for (std::size_t v = 0; v < k; ++v) vaults.push_back(std::make_unique<Vault>());
+  std::vector<Mailbox<QMsg>> inboxes(k);
+  core::QueueProtocol queue(k, opts, "sim.pim_queue");
+  const auto port_of = [&](std::size_t v) {
+    return SimPort{&inboxes, nullptr, v, msg_ns, opts.pipelining};
+  };
+  // Pre-fill: materialize the state Algorithm 1 would have reached after
+  // `initial_nodes` enqueues.
+  queue.prefill(port_of, cfg.initial_nodes);
 
-  Directory directory;
   PimQueueResult result;
-
   // Registry metrics (accumulate across runs in one process; benches that
   // want per-run numbers call Registry::reset() between runs).
   auto& registry = obs::Registry::instance();
   obs::Counter& c_rejections = registry.counter("sim.pim_queue.rejections");
-  obs::Counter& c_enq_batches = registry.counter("sim.pim_queue.enq_batches");
-  obs::Counter& c_handoffs =
-      registry.counter("sim.pim_queue.segment_handoffs");
   obs::Histogram& h_latency =
       registry.histogram("sim.pim_queue.op_latency_ns");
-  obs::Histogram& h_enq_batch = registry.histogram("sim.pim_queue.enq_batch");
-  std::vector<obs::Counter*> vault_ops;
-  for (std::size_t v = 0; v < k; ++v) {
-    vault_ops.push_back(
-        &registry.counter("sim.pim_queue.vault" + std::to_string(v) + ".ops"));
-  }
-
-  // Pre-fill: materialize the state Algorithm 1 would have reached after
-  // `initial_nodes` enqueues — a chain of segments round-robined over the
-  // vaults, each below the threshold, with next_seg_cid links in place.
-  {
-    const std::uint64_t cap = opts.segment_threshold;
-    std::size_t remaining = cfg.initial_nodes;
-    std::uint64_t next_value = 0;
-    std::size_t core = 0;
-    std::shared_ptr<Segment> prev;
-    bool first = true;
-    do {
-      auto seg = std::make_shared<Segment>();
-      const std::size_t take =
-          remaining < cap ? remaining : static_cast<std::size_t>(cap);
-      for (std::size_t i = 0; i < take; ++i) seg->nodes.push_back(next_value++);
-      seg->enq_count = take;
-      remaining -= take;
-      if (prev) prev->next_seg_cid = core;
-      if (first) {
-        // Oldest segment: already the dequeue segment, so NOT in seg_queue
-        // (newDeqSeg pops segments out of seg_queue when they take the role).
-        vaults[core]->deq_seg = seg;
-        directory.deq_cid = core;
-        first = false;
-      } else {
-        vaults[core]->seg_queue.push_back(seg);
-      }
-      vaults[core]->enq_seg = nullptr;
-      prev = seg;
-      if (remaining > 0) core = (core + 1) % k;
-    } while (remaining > 0);
-    // Youngest segment doubles as the enqueue segment.
-    vaults[core]->enq_seg = prev;
-    directory.enq_cid = core;
-  }
 
   for (std::size_t v = 0; v < k; ++v) {
     engine.spawn("pim-core" + std::to_string(v), [&, v](Context& ctx) {
-      Vault& vault = *vaults[v];
+      Mailbox<QMsg>& inbox = inboxes[v];
+      SimPort port = port_of(v);
+      port.ctx = &ctx;
       std::size_t stopped = 0;
-      std::uint64_t deq_serves = 0;  // QueueFault::kDoubleServe cadence
       // Non-enqueue messages picked up while draining an enqueue batch
       // (Section 5.1 fat-node combining) are replayed in arrival order.
       std::deque<QMsg> replay;
-      // Latency attribution: the serve start bounds each request's inbound
-      // leg (split exactly into the Lmessage request_flight and the
-      // queueing remainder, mailbox_queue) and starts its vault_service
-      // phase; the reply then adds the response_flight leg. In virtual
-      // time these tile the requester's end-to-end latency exactly.
-      const auto record_reply = [&](const QMsg& req_msg, Time serve_start,
-                                    Context& c) {
+      std::vector<QMsg> batch;
+      // The serve start bounds each request's inbound leg: split exactly
+      // into the Lmessage request_flight and the queueing remainder,
+      // mailbox_queue.
+      const auto record_arrival = [&](const QMsg& req_msg) {
         if (req_msg.issue_ns == 0) return;
-        obs::record_sim_phase(obs::Phase::kVaultService,
-                              c.now() - serve_start);
-        obs::record_sim_phase(obs::Phase::kResponseFlight,
-                              static_cast<Time>(msg_ns));
-      };
-      const auto record_arrival = [&](const QMsg& req_msg, Context& c) {
-        if (req_msg.issue_ns == 0) return;
-        const Time wait = c.now() - req_msg.issue_ns;
+        const Time wait = ctx.now() - req_msg.issue_ns;
         const Time flight = wait < static_cast<Time>(msg_ns)
                                 ? wait
                                 : static_cast<Time>(msg_ns);
         obs::record_sim_phase(obs::Phase::kRequestFlight, flight);
         obs::record_sim_phase(obs::Phase::kMailboxQueue, wait - flight);
         if (req_msg.req != 0 && obs::trace_enabled()) {
-          c.trace_instant("req_dispatch", {"req", req_msg.req},
-                          {"wait_ns", c.now() - req_msg.issue_ns});
+          ctx.trace_instant("req_dispatch", {"req", req_msg.req},
+                            {"wait_ns", ctx.now() - req_msg.issue_ns});
         }
       };
       while (stopped < total_cpus) {
@@ -167,158 +130,40 @@ PimQueueResult run_pim_queue(const QueueConfig& cfg,
           m = replay.front();
           replay.pop_front();
         } else {
-          m = vault.inbox.recv(ctx);
+          m = inbox.recv(ctx);
         }
-        const Time t_serve = ctx.now();
-        record_arrival(m, ctx);
+        port.serve_start = ctx.now();
+        record_arrival(m);
         switch (m.kind) {
-          case QMsg::Kind::kEnq: {
-            if (!vault.enq_seg) {
-              ctx.trace_instant("reject", {"vault", v});
-              m.reply->set(ctx, Reply{false, false, 0}, msg_ns);
-              record_reply(m, t_serve, ctx);
-              break;
-            }
-            const Time enq_start = ctx.now();
-            std::size_t appended = 1;
-            if (opts.enqueue_combining) {
+          case QMsg::Kind::kEnq:
+            if (opts.enqueue_combining && queue.holds_enq_role(v)) {
               // Drain every already-delivered enqueue into one fat node;
-              // anything else goes to the replay queue.
-              std::vector<QMsg> batch{m};
-              while (auto more = vault.inbox.try_recv(ctx)) {
+              // anything else goes to the replay queue. Batch members are
+              // served now, so their arrival is recorded here.
+              batch.assign(1, m);
+              while (auto more = inbox.try_recv(ctx)) {
                 if (more->kind == QMsg::Kind::kEnq) {
-                  // Replayed messages get their arrival recorded when they
-                  // are served from the replay queue; batch members are
-                  // served now, so record their arrival here.
-                  record_arrival(*more, ctx);
+                  record_arrival(*more);
                   batch.push_back(*more);
                 } else {
                   replay.push_back(*more);
                 }
               }
-              appended = batch.size();
-              // One memory access per cache-line-sized array of values.
-              ctx.charge(MemClass::kPimLocal,
-                         (appended + opts.fat_node_capacity - 1) /
-                             opts.fat_node_capacity);
-              for (const QMsg& e : batch) {
-                vault.enq_seg->nodes.push_back(e.value);
-                e.reply->set(ctx, Reply{true, false, 0}, msg_ns);
-                // Per-op service: every batch member waits for the whole
-                // fat-node append before its (shared) response ships.
-                record_reply(e, t_serve, ctx);
-              }
-              ctx.trace_complete("drain_batch", enq_start,
-                                 {"n", appended});
-            } else {
-              // Append the node: one local memory access; the two L1
-              // accesses for head/tail bookkeeping are the epsilon the
-              // paper neglects.
-              ctx.charge(MemClass::kPimLocal);
-              vault.enq_seg->nodes.push_back(m.value);
-              m.reply->set(ctx, Reply{true, false, 0}, msg_ns);
-              record_reply(m, t_serve, ctx);
-              if (obs::trace_enabled()) {
-                ctx.trace_complete("vault_service", t_serve, {"vault", v});
-              }
-            }
-            vault.enq_seg->enq_count += appended;
-            result.enq_ops += appended;
-            ++result.enq_batches;
-            c_enq_batches.add(1);
-            h_enq_batch.record(appended);
-            vault_ops[v]->add(appended);
-            if (vault.deq_seg) result.co_resident_ops += appended;
-            if (!opts.pipelining) ctx.advance(msg_ns);
-            if (vault.enq_seg->enq_count > opts.segment_threshold) {
-              std::size_t next = (v + 1) % k;
-              if (opts.placement == SegmentPlacement::kAvoidDequeueCore &&
-                  k > 1 && next == directory.deq_cid) {
-                next = (next + 1) % k;
-              } else if (opts.placement ==
-                             SegmentPlacement::kOppositeDequeueCore &&
-                         k > 1) {
-                next = (directory.deq_cid + k / 2) % k;
-                if (next == directory.deq_cid) next = (next + 1) % k;
-              }
-              vault.enq_seg->next_seg_cid = next;
-              c_handoffs.add(1);
-              vaults[next]->inbox.send(
-                  ctx, QMsg{QMsg::Kind::kNewEnqSeg, 0, nullptr});
-              vault.enq_seg = nullptr;
+              queue.serve_enqueues(port, batch.data(), batch.size());
+              ctx.trace_complete("drain_batch", port.serve_start,
+                                 {"n", batch.size()});
+            } else if (queue.serve_enqueues(port, &m, 1) &&
+                       obs::trace_enabled()) {
+              ctx.trace_complete("vault_service", port.serve_start,
+                                 {"vault", v});
             }
             break;
-          }
-          case QMsg::Kind::kNewEnqSeg: {
-            auto seg = std::make_shared<Segment>();
-            vault.seg_queue.push_back(seg);
-            vault.enq_seg = seg;
-            ctx.trace_instant("newEnqSeg", {"vault", v});
-            ctx.charge(MemClass::kPimLocal);  // allocation bookkeeping
-            directory.enq_cid = v;            // notify the CPUs
-            ++result.segments_created;
+          case QMsg::Kind::kDeq:
+            queue.serve_dequeues(port, &m, 1);
             break;
-          }
-          case QMsg::Kind::kDeq: {
-            if (!vault.deq_seg) {
-              m.reply->set(ctx, Reply{false, false, 0}, msg_ns);
-              record_reply(m, t_serve, ctx);
-              break;
-            }
-            if (!vault.deq_seg->nodes.empty()) {
-              ctx.charge(MemClass::kPimLocal);  // read the node
-              const std::uint64_t value = vault.deq_seg->nodes.front();
-              if (opts.fault == QueueFault::kDoubleServe &&
-                  ++deq_serves % 64 == 0) {
-                // Injected bug: answer from the head without popping, so the
-                // next dequeue re-serves the same node.
-              } else {
-                vault.deq_seg->nodes.pop_front();
-              }
-              ++result.deq_ops;
-              vault_ops[v]->add(1);
-              if (vault.enq_seg) ++result.co_resident_ops;
-              m.reply->set(ctx, Reply{true, true, value}, msg_ns);
-              record_reply(m, t_serve, ctx);
-              if (!opts.pipelining) ctx.advance(msg_ns);
-            } else if (vault.deq_seg == vault.enq_seg) {
-              // Single-segment case: the queue really is empty.
-              m.reply->set(ctx, Reply{true, false, 0}, msg_ns);
-              record_reply(m, t_serve, ctx);
-              ++result.empty_dequeues;
-              ++result.deq_ops;
-              vault_ops[v]->add(1);
-            } else {
-              // This segment is exhausted; pass the dequeue role to the
-              // core that created the next segment (Algorithm 1 line 33).
-              const std::size_t next = vault.deq_seg->next_seg_cid;
-              assert(next < k && "exhausted segment has no successor");
-              c_handoffs.add(1);
-              vaults[next]->inbox.send(
-                  ctx, QMsg{QMsg::Kind::kNewDeqSeg, 0, nullptr});
-              vault.deq_seg = nullptr;
-              ctx.trace_instant("reject", {"vault", v});
-              m.reply->set(ctx, Reply{false, false, 0}, msg_ns);
-              record_reply(m, t_serve, ctx);
-            }
+          case QMsg::Kind::kHandoff:
+            queue.deliver(port, static_cast<Handoff>(m.value));
             break;
-          }
-          case QMsg::Kind::kNewDeqSeg: {
-            // FIFO channel delivery guarantees the matching newEnqSeg (sent
-            // earlier on the same core-to-core channel) was processed first.
-            assert(!vault.seg_queue.empty());
-            vault.deq_seg = vault.seg_queue.front();
-            vault.seg_queue.pop_front();
-            if (opts.fault == QueueFault::kHandoffReorder) {
-              // Injected bug: the hand-off "forgot" the segment's order and
-              // the new core serves its buffered nodes newest-first.
-              std::reverse(vault.deq_seg->nodes.begin(),
-                           vault.deq_seg->nodes.end());
-            }
-            ctx.trace_instant("newDeqSeg", {"vault", v});
-            directory.deq_cid = v;
-            break;
-          }
           case QMsg::Kind::kStop:
             ++stopped;
             break;
@@ -328,50 +173,27 @@ PimQueueResult run_pim_queue(const QueueConfig& cfg,
   }
 
   std::uint64_t total_ops = 0;
-  const auto spawn_cpu = [&](std::string name, bool is_enq,
-                             std::size_t slot) {
-    engine.spawn(std::move(name), [&, is_enq, slot](Context& ctx) {
-      std::uint64_t ops = 0;
-      check::ThreadLog* log =
-          cfg.recorder != nullptr ? &cfg.recorder->log(slot) : nullptr;
-      SimSlot<Reply> reply;
-      ArrivalPacer pacer(cfg, ctx);
-      while (ctx.now() < cfg.duration_ns) {
-        const Time intended = pacer.next(ctx);
-        if (intended >= cfg.duration_ns) break;
-        const Time issued = ctx.now();
+  spawn_queue_clients(
+      engine, cfg, total_ops,
+      [&](Context& ctx, bool is_enq, std::uint64_t value,
+          Time issued) -> std::uint64_t {
         const std::uint64_t rid =
             obs::trace_enabled() ? obs::next_request_id() : 0;
-        // One value per OPERATION, not per send: a rejected CPU retries the
-        // same request. Recorded runs tag values with the producer slot so
-        // every enqueued value is unique (the checker matches dequeues to
-        // enqueues by value).
-        const std::uint64_t value =
-            !is_enq ? 0
-            : log != nullptr
-                ? ((static_cast<std::uint64_t>(slot) + 1) << 48) | ops
-                : ctx.rng().next();
-        if (log != nullptr) {
-          log->begin(is_enq ? check::kEnq : check::kDeq, value, issued);
-        }
-        Reply r;
+        SimSlot<QueueReply> reply;
+        QueueReply r;
         for (;;) {
+          // A rejected CPU re-reads the directory and resends the same
+          // request.
           const std::size_t target =
-              is_enq ? directory.enq_cid : directory.deq_cid;
-          const QMsg::Kind kind =
-              is_enq ? QMsg::Kind::kEnq : QMsg::Kind::kDeq;
-          vaults[target]->inbox.send(
-              ctx, QMsg{kind, value, &reply, ctx.now(), rid});
+              is_enq ? queue.enq_core() : queue.deq_core();
+          inboxes[target].send(
+              ctx, QMsg{is_enq ? QMsg::Kind::kEnq : QMsg::Kind::kDeq, value,
+                        &reply, ctx.now(), rid});
           r = reply.await(ctx);
           if (r.accepted) break;
-          ++result.rejections;  // stale directory: re-read and resend
+          ++result.rejections;
           c_rejections.add(1);
           ctx.trace_instant("cpu_retry", {"target", target});
-        }
-        if (log != nullptr) {
-          log->end(is_enq ? check::kRetTrue
-                          : (r.has_value ? r.value : check::kRetEmpty),
-                   ctx.now());
         }
         h_latency.record(ctx.now() - issued);
         // End-to-end reference for the attribution report: across every
@@ -382,29 +204,22 @@ PimQueueResult run_pim_queue(const QueueConfig& cfg,
           ctx.trace_complete("op", issued, {"req", rid},
                              {"enq", is_enq ? 1u : 0u});
         }
-        if (cfg.latency_sink_ns != nullptr) {
-          // Open loop: charge from the INTENDED start, so time spent queued
-          // behind a late injector counts against the operation.
-          cfg.latency_sink_ns->push_back(
-              static_cast<double>(ctx.now() - intended));
-        }
-        ++ops;
-      }
-      for (std::size_t v = 0; v < k; ++v) {
-        vaults[v]->inbox.send(ctx, QMsg{QMsg::Kind::kStop, 0, nullptr});
-      }
-      total_ops += ops;
-    });
-  };
-  for (std::size_t i = 0; i < cfg.enqueuers; ++i) {
-    spawn_cpu("enq" + std::to_string(i), true, i);
-  }
-  for (std::size_t i = 0; i < cfg.dequeuers; ++i) {
-    spawn_cpu("deq" + std::to_string(i), false, cfg.enqueuers + i);
-  }
+        if (is_enq) return check::kRetTrue;
+        return r.has_value ? r.value : check::kRetEmpty;
+      },
+      [&](Context& ctx) {
+        for (Mailbox<QMsg>& inbox : inboxes) inbox.send(ctx, QMsg{});
+      });
 
   engine.run();
+  queue.release(port_of);
   result.run = {total_ops, cfg.duration_ns};
+  result.segments_created = queue.count(core::kSegmentsCreated);
+  result.empty_dequeues = queue.count(core::kEmptyDequeues);
+  result.co_resident_ops = queue.count(core::kCoResidentOps);
+  result.enq_ops = queue.count(core::kEnqOps);
+  result.deq_ops = queue.count(core::kDeqOps);
+  result.enq_batches = queue.count(core::kEnqBatches);
   return result;
 }
 

@@ -9,15 +9,19 @@
 //   - PIM-managed queue (Algorithm 1): per-vault segments, distinct enqueue
 //     and dequeue segments served by different PIM cores, segment hand-off
 //     via newEnqSeg/newDeqSeg messages, CPU retry on rejection, and
-//     response pipelining; per-side throughput approaches 1/Lpim.
+//     response pipelining; per-side throughput approaches 1/Lpim. Its PIM
+//     cores run the runtime's protocol code (core/queue_protocol.hpp).
 #pragma once
 
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/latency.hpp"
+#include "core/queue_protocol.hpp"
 #include "sim/workload.hpp"
 
 namespace pimds::sim {
@@ -82,100 +86,95 @@ struct QueueConfig {
   check::HistoryRecorder* recorder = nullptr;
 };
 
-/// Per-actor open-loop injection clock, shared by the three simulated
-/// queues. Each call to next() yields the intended start of the actor's
-/// next operation: if the actor is AHEAD of schedule its virtual clock
-/// jumps forward to the intended time (the sim analogue of a real
-/// injector's wait_until); if it is BEHIND (the previous op overran the
-/// next slot) the intended time is already in the past and the measured
-/// latency absorbs the lag — exactly the accounting coordinated omission
-/// loses. Closed loop degenerates to next() == now().
-class ArrivalPacer {
- public:
-  ArrivalPacer(const QueueConfig& cfg, Context& ctx)
-      : schedule_(cfg.arrival), period_ns_(cfg.arrival_period_ns) {
-    // Uniform phase stagger so deterministic injectors spread over one
-    // period instead of arriving k-at-a-time.
-    next_intended_ = schedule_ == ArrivalSchedule::kClosedLoop
-                         ? 0.0
-                         : ctx.rng().next_double() * period_ns_;
+/// Spawns a queue experiment's client actors — `cfg.enqueuers` named enq<i>,
+/// then `cfg.dequeuers` named deq<i> — and adds their operation counts to
+/// `total_ops`. Each runs closed or open loop per `cfg` until the window
+/// closes, recording its history and latencies when `cfg` asks for them.
+/// `op(ctx, is_enq, value, issued)` performs one operation and returns its
+/// history response: kRetTrue for an enqueue, else the dequeued value or
+/// kRetEmpty. `done(ctx)` runs as each actor finishes.
+///
+/// Under an open-loop schedule an actor AHEAD of schedule jumps its virtual
+/// clock to the operation's intended start (the sim analogue of a real
+/// injector's wait_until); one BEHIND (its previous operation overran the
+/// slot) starts late, and the latency measured from the intended start
+/// absorbs the lag — exactly the accounting coordinated omission loses.
+template <class Op, class Done = void (*)(Context&)>
+void spawn_queue_clients(Engine& engine, const QueueConfig& cfg,
+                         std::uint64_t& total_ops, Op op,
+                         Done done = [](Context&) {}) {
+  const auto spawn = [&](std::string name, bool is_enq, std::size_t slot) {
+    engine.spawn(std::move(name), [&cfg, &total_ops, op, done, is_enq,
+                                   slot](Context& ctx) {
+      check::ThreadLog* log =
+          cfg.recorder != nullptr ? &cfg.recorder->log(slot) : nullptr;
+      const bool open_loop = cfg.arrival != ArrivalSchedule::kClosedLoop;
+      // Uniform phase stagger so deterministic injectors spread over one
+      // period instead of arriving k-at-a-time.
+      double next_intended =
+          open_loop ? ctx.rng().next_double() * cfg.arrival_period_ns : 0.0;
+      std::uint64_t ops = 0;
+      while (ctx.now() < cfg.duration_ns) {
+        Time intended = ctx.now();
+        if (open_loop) {
+          intended = static_cast<Time>(next_intended);
+          ctx.set_time(intended);  // no-op when already late
+          next_intended +=
+              cfg.arrival == ArrivalSchedule::kPoisson
+                  ? -cfg.arrival_period_ns *
+                        std::log(1.0 - ctx.rng().next_double())
+                  : cfg.arrival_period_ns;
+          if (intended >= cfg.duration_ns) break;
+        }
+        const Time issued = ctx.now();
+        // Recorded runs tag values with the producer slot so every enqueued
+        // value is unique (the checker matches dequeues to enqueues by
+        // value).
+        const std::uint64_t value =
+            !is_enq ? 0
+            : log != nullptr
+                ? ((static_cast<std::uint64_t>(slot) + 1) << 48) | ops
+                : ctx.rng().next();
+        if (log != nullptr) {
+          log->begin(is_enq ? check::kEnq : check::kDeq, value, issued);
+        }
+        const std::uint64_t ret = op(ctx, is_enq, value, issued);
+        if (log != nullptr) log->end(ret, ctx.now());
+        if (cfg.latency_sink_ns != nullptr) {
+          // Open loop: charge from the INTENDED start, so time spent queued
+          // behind a late injector counts against the operation.
+          cfg.latency_sink_ns->push_back(
+              static_cast<double>(ctx.now() - intended));
+        }
+        ++ops;
+      }
+      done(ctx);
+      total_ops += ops;
+    });
+  };
+  for (std::size_t i = 0; i < cfg.enqueuers; ++i) {
+    spawn("enq" + std::to_string(i), true, i);
   }
-
-  /// Intended start of the next operation (advances the actor clock when
-  /// ahead of schedule).
-  Time next(Context& ctx) noexcept {
-    if (schedule_ == ArrivalSchedule::kClosedLoop) return ctx.now();
-    const Time intended = static_cast<Time>(next_intended_);
-    ctx.set_time(intended);  // no-op when already late
-    next_intended_ +=
-        schedule_ == ArrivalSchedule::kPoisson
-            ? -period_ns_ * std::log(1.0 - ctx.rng().next_double())
-            : period_ns_;
-    return intended;
+  for (std::size_t i = 0; i < cfg.dequeuers; ++i) {
+    spawn("deq" + std::to_string(i), false, cfg.enqueuers + i);
   }
+}
 
- private:
-  ArrivalSchedule schedule_;
-  double period_ns_;
-  double next_intended_ = 0.0;
-};
+/// The PIM queue's protocol options and mutation faults are the shared
+/// core's (core/queue_protocol.hpp), plus the simulator-only knobs.
+using core::QueueFault;
+using core::SegmentPlacement;
 
-/// Where a PIM core creates the next enqueue segment (Algorithm 1 line 14
-/// leaves the choice open; the paper notes richer policies as future work).
-enum class SegmentPlacement : std::uint8_t {
-  /// Strict round-robin. Pathology worth knowing about: because enqueue and
-  /// dequeue roles advance at the same rate (one core per `threshold`
-  /// operations), round-robin can park both roles on the SAME core and keep
-  /// them there — a stable fixed point that serializes the two sides and
-  /// halves throughput. The ablation bench demonstrates this.
-  kRoundRobin,
-  /// Round-robin, but skip the core currently holding the dequeue segment.
-  /// Reduces — but does not eliminate — co-residency: once both roles land
-  /// on the SAME core, the skip condition never fires and they advance in
-  /// lockstep.
-  kAvoidDequeueCore,
-  /// Place each new enqueue segment on the core "opposite" the current
-  /// dequeue core ((deq + k/2) mod k). Self-stabilizing: when the dequeue
-  /// role reaches a segment, the enqueue role is by construction filling a
-  /// segment placed half a ring away, so the two sides stay on distinct
-  /// cores — the Section 5 assumption that enqueues and dequeues proceed in
-  /// parallel. This is the default.
-  kOppositeDequeueCore,
-};
+struct PimQueueOptions : core::QueueProtocolOptions {
+  /// Fat-node enqueue combining is off by default in the simulator, the
+  /// paper's Section 5.2 configuration.
+  PimQueueOptions() { enqueue_combining = false; }
 
-/// Deliberately broken PIM-queue variants for checker mutation testing:
-/// each fault models a real protocol mistake and MUST be caught by the
-/// linearizability checker (tests/test_checker_mutation.cpp).
-enum class QueueFault : std::uint8_t {
-  kNone,
-  /// Segment hand-off bug: when the dequeue role moves to the next segment
-  /// (Algorithm 1's newDeqSeg), the new core serves its freshest buffered
-  /// nodes first — as if the hand-off message fenced nothing and the
-  /// successor's local order leaked. Breaks FIFO across the hand-off.
-  kHandoffReorder,
-  /// Response bug: the dequeue core occasionally re-serves the value it just
-  /// dequeued without popping again — a stale-sentinel read after the
-  /// segment advanced. One value reaches two dequeuers.
-  kDoubleServe,
-};
-
-struct PimQueueOptions {
   std::size_t num_vaults = 4;
-  /// Segment length threshold (Algorithm 1 line 13). A huge threshold keeps
-  /// the queue in the single-segment ("short queue") regime, where one core
-  /// serves both request types and throughput halves (end of Section 5.2).
-  std::uint64_t segment_threshold = 1024;
   /// Response pipelining (Figure 6). When off, the PIM core stalls for
-  /// Lmessage after each response before serving the next request.
+  /// Lmessage after each response that carried work (an accepted enqueue
+  /// batch or a popped value) before serving the next request.
   bool pipelining = true;
-  SegmentPlacement placement = SegmentPlacement::kOppositeDequeueCore;
-  /// Section 5.1's further optimization: the enqueue core drains every
-  /// already-delivered enqueue request and stores the values as one "fat"
-  /// array node, paying one local memory access per `fat_node_capacity`
-  /// values instead of one per value.
-  bool enqueue_combining = false;
-  std::size_t fat_node_capacity = 8;  ///< values per cache-line array node
-  QueueFault fault = QueueFault::kNone;  ///< mutation testing only
 };
 
 RunResult run_faa_queue(const QueueConfig& cfg);

@@ -208,7 +208,7 @@ TEST(PimSkipList, OperationsRaceWithMigrationSafely) {
 
 TEST(PimFifoQueue, BasicFifoOrderSingleThreaded) {
   runtime::PimSystem system(small_config(4));
-  PimFifoQueue queue(system, {16, true});  // tiny segments: exercise hand-off
+  PimFifoQueue queue(system, {{16}});  // tiny segments: exercise hand-off
   system.start();
   for (std::uint64_t i = 0; i < 500; ++i) queue.enqueue(i);
   for (std::uint64_t i = 0; i < 500; ++i) {
@@ -234,7 +234,7 @@ TEST(PimFifoQueue, EmptyQueueReportsEmpty) {
 
 TEST(PimFifoQueue, PerProducerOrderAndNoLossUnderConcurrency) {
   runtime::PimSystem system(small_config(4));
-  PimFifoQueue queue(system, {64, true});
+  PimFifoQueue queue(system, {{64}});
   system.start();
   constexpr int kProducers = 2;
   constexpr int kConsumers = 2;
@@ -276,7 +276,7 @@ TEST(PimFifoQueue, PerProducerOrderAndNoLossUnderConcurrency) {
 
 TEST(PimFifoQueue, SingleVaultStillWorks) {
   runtime::PimSystem system(small_config(1));
-  PimFifoQueue queue(system, {8, true});
+  PimFifoQueue queue(system, {{8}});
   system.start();
   for (std::uint64_t i = 0; i < 100; ++i) queue.enqueue(i);
   for (std::uint64_t i = 0; i < 100; ++i) {
@@ -287,7 +287,7 @@ TEST(PimFifoQueue, SingleVaultStillWorks) {
 
 TEST(PimFifoQueue, RoundRobinPlacementRemainsCorrect) {
   runtime::PimSystem system(small_config(3));
-  PimFifoQueue queue(system, {32, /*antipodal_placement=*/false});
+  PimFifoQueue queue(system, {{32, SegmentPlacement::kRoundRobin}});
   system.start();
   for (std::uint64_t i = 0; i < 1000; ++i) queue.enqueue(i);
   for (std::uint64_t i = 0; i < 1000; ++i) {

@@ -192,7 +192,7 @@ TEST(CheckedQueues, PimQueuePassesTheChecker) {
   runtime::PimSystem::Config config;
   config.num_vaults = 4;
   runtime::PimSystem system(config);
-  core::PimFifoQueue queue(system, {128, true});
+  core::PimFifoQueue queue(system, {{128}});
   system.start();
   checked_run(queue, 2, 2, kPerProducer);
   system.stop();

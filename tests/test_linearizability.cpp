@@ -338,7 +338,7 @@ TEST(CheckedQueueHistories, PimFifoQueueIsLinearizable) {
   runtime::PimSystem::Config config;
   config.num_vaults = 4;
   runtime::PimSystem system(config);
-  core::PimFifoQueue queue(system, {128, true});
+  core::PimFifoQueue queue(system, {{128}});
   system.start();
   const auto r =
       check::check_queue_history(record_queue_run(queue, 2, 2, kQueuePerProducer));
