@@ -117,6 +117,12 @@ if [[ "$skip_tsan" == 0 ]]; then
   # No suppressions: the runtime message path must be genuinely race-free.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_runtime
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_mailbox_batch
+  # The combiner's lock-first fast path racing queued losers, and the
+  # one-line ResponseSlot reused across thousands of hand-offs: repeated so
+  # TSan sees many interleavings of the publish/await and lock/flush pairs.
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_mailbox_batch \
+    --gtest_filter='CombinerFastPath.*:ResponseSlotBatch.TwoThreadReuse*' \
+    --gtest_repeat=5
   # The per-sender SPSC lanes and the multi-lane drain sweep are new
   # lock-free code; MultiLaneDrainStress is the dedicated TSan target.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_spsc_ring

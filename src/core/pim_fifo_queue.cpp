@@ -166,6 +166,8 @@ std::optional<std::uint64_t> PimFifoQueue::dequeue() {
 
 QueueReply PimFifoQueue::call(bool enq, std::uint64_t value) {
   ResponseSlot<QueueReply> slot;
+  static_assert(sizeof(slot) == kCacheLineSize,
+                "a reply hand-off must move exactly one cache line");
   const bool obs_on = obs::metrics_enabled();
   const std::uint64_t rid = obs::trace_enabled() ? obs::next_request_id() : 0;
   const std::uint64_t op_start = (obs_on || rid != 0) ? now_ns() : 0;

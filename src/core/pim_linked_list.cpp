@@ -33,6 +33,8 @@ PimLinkedList::PimLinkedList(runtime::PimSystem& system, Options options)
 bool PimLinkedList::submit(Kind kind, std::uint64_t key) {
   assert(key >= 1 && "key 0 is reserved for the dummy head");
   ResponseSlot<bool> slot;
+  static_assert(sizeof(slot) == kCacheLineSize,
+                "a reply hand-off must move exactly one cache line");
   if (options_.cpu_combining) {
     RequestCombiner::Entry entry{};
     entry.kind = kind;

@@ -99,6 +99,8 @@ bool PimSkipList::submit(Kind kind, std::uint64_t key) {
   assert(key >= options_.key_min && key <= options_.key_max &&
          "key outside the configured range");
   ResponseSlot<OpReply> slot;
+  static_assert(sizeof(slot) == kCacheLineSize,
+                "a reply hand-off must move exactly one cache line");
   for (;;) {
     const std::size_t vault = directory_.route(key);
     if (range_combining(key)) {

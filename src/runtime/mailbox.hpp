@@ -400,8 +400,13 @@ class Mailbox {
 /// One-shot response slot a CPU thread waits on. Single producer (the PIM
 /// core serving the request), single consumer (the requesting CPU), reused
 /// across requests by the same CPU.
+///
+/// The whole slot is one cache line: value, delivery deadline, publish
+/// stamp and full flag travel together, so a publish→await hand-off moves
+/// one line from the PIM core to the CPU (and the consumer's reset stays
+/// on the line it already holds). Keep R small enough to fit beside them.
 template <typename R>
-class ResponseSlot {
+class alignas(kCacheLineSize) ResponseSlot {
  public:
   /// Producer: publish a response that becomes visible at `ready_ns`
   /// (pass 0 for "immediately"). The publish instant is stamped so the
@@ -409,10 +414,10 @@ class ResponseSlot {
   /// instead of the modeled constant.
   void publish(R value, std::uint64_t ready_ns = 0) {
     value_ = std::move(value);
-    ready_ns_.value.store(ready_ns, std::memory_order_relaxed);
+    ready_ns_.store(ready_ns, std::memory_order_relaxed);
     pub_ns_.store(obs::metrics_enabled() ? now_ns() : 0,
                   std::memory_order_relaxed);
-    full_.value.store(true, std::memory_order_release);
+    full_.store(true, std::memory_order_release);
   }
 
   /// Consumer: wait until a response is published AND its delivery time has
@@ -430,9 +435,9 @@ class ResponseSlot {
   ///    phase the requester itself can observe.
   R await() {
     SpinWait spin;
-    while (!full_.value.load(std::memory_order_acquire)) spin.wait();
+    while (!full_.load(std::memory_order_acquire)) spin.wait();
     const bool obs_on = obs::metrics_enabled();
-    const std::uint64_t ready = ready_ns_.value.load(std::memory_order_relaxed);
+    const std::uint64_t ready = ready_ns_.load(std::memory_order_relaxed);
     std::uint64_t t_wake = (obs_on || ready != 0) ? now_ns() : 0;
     if (ready != 0 && t_wake < ready) {
       wait_until_ns(ready);
@@ -451,17 +456,17 @@ class ResponseSlot {
                                 t_wake > t_deliver ? t_wake - t_deliver : 0);
     }
     R out = std::move(value_);
-    full_.value.store(false, std::memory_order_release);
+    full_.store(false, std::memory_order_release);
     return out;
   }
 
  private:
   R value_{};
-  CachePadded<std::atomic<std::uint64_t>> ready_ns_{0};
-  /// Publish stamp; producer-written before the full_ release like
-  /// ready_ns_, consumer-read after the acquire (relaxed suffices).
+  /// Delivery deadline and publish stamp: producer-written before the
+  /// full_ release, consumer-read after the acquire (relaxed suffices).
+  std::atomic<std::uint64_t> ready_ns_{0};
   std::atomic<std::uint64_t> pub_ns_{0};
-  CachePadded<std::atomic<bool>> full_{false};
+  std::atomic<bool> full_{false};
 };
 
 }  // namespace pimds::runtime

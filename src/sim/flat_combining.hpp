@@ -50,7 +50,13 @@ class SimFlatCombiner {
     ctx.sync();
     pending_.push_back(Pending{std::move(request), &slot});
     if (costs_.charge_lock_llc) ctx.charge(MemClass::kLlc);
-    if (lock_.try_lock(ctx)) {
+    // SimMutex::unlock yields before the lock reads free, so a requester
+    // can publish and fail try_lock in that window, then wait on a slot no
+    // combiner will serve. The releasing combiner closes the window: after
+    // unlocking it re-checks the publication list and, if a request
+    // arrived, competes for the lock again. A failed re-try means another
+    // combiner holds the lock and will do the same re-check itself.
+    while (lock_.try_lock(ctx)) {
       // Combiner role: drain until no request is pending. Real combiners
       // re-scan the publication list a few times before releasing the lock;
       // here that re-scan is two zero-cost scheduler yields, enough for a
@@ -76,6 +82,7 @@ class SimFlatCombiner {
         ctx.sync();
       }
       lock_.unlock(ctx);
+      if (pending_.empty()) break;
     }
     return slot.await(ctx);
   }

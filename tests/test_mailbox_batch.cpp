@@ -1,6 +1,7 @@
 // Tests for the batched mailbox drain path: per-sender FIFO across
 // deferred/pending messages, deferred-delivery timing under the
-// LatencyInjector, ResponseSlot reuse, and the PimSystem batch handler.
+// LatencyInjector, ResponseSlot reuse, the RequestCombiner's fast path and
+// fat batches, and the PimSystem batch handler.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +12,9 @@
 
 #include "common/latency.hpp"
 #include "common/timing.hpp"
+#include "common/spinwait.hpp"
 #include "core/pim_fifo_queue.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/combiner.hpp"
 #include "runtime/fat_arena.hpp"
 #include "runtime/mailbox.hpp"
@@ -176,6 +179,40 @@ TEST(ResponseSlotBatch, ReuseAcrossRequestsWithDeliveryTimes) {
   }
 }
 
+TEST(ResponseSlotBatch, TwoThreadReuseHonorsEveryDeadline) {
+  // Thousands of publish->await cycles on one slot between two threads,
+  // alternating "deliver now" (ready_ns 0) with a deadline a few
+  // microseconds out: every value must arrive intact, and no await may
+  // return before its deadline.
+  struct Reply {
+    std::uint64_t round;
+    std::uint64_t ready_ns;
+  };
+  static_assert(sizeof(ResponseSlot<Reply>) == kCacheLineSize);
+  constexpr std::uint64_t kRounds = 4000;
+  ResponseSlot<Reply> slot;
+  std::atomic<std::uint64_t> requested{0};
+  std::thread producer([&] {
+    for (std::uint64_t round = 1; round <= kRounds; ++round) {
+      SpinWait spin;
+      while (requested.load(std::memory_order_acquire) != round) spin.wait();
+      const std::uint64_t ready = round % 2 == 0 ? now_ns() + 5'000 : 0;
+      slot.publish(Reply{round, ready}, ready);
+    }
+  });
+  std::uint64_t wrong_value = 0;
+  std::uint64_t early = 0;
+  for (std::uint64_t round = 1; round <= kRounds; ++round) {
+    requested.store(round, std::memory_order_release);
+    const Reply r = slot.await();
+    wrong_value += r.round != round;
+    early += now_ns() < r.ready_ns;
+  }
+  producer.join();
+  EXPECT_EQ(wrong_value, 0u);
+  EXPECT_EQ(early, 0u) << "an await returned before its ready_ns";
+}
+
 TEST(PimSystemBatch, BatchHandlerSeesWholeBursts) {
   PimSystem::Config config;
   config.num_vaults = 1;
@@ -248,9 +285,10 @@ TEST(FatPayload, CombinerGathersWaitersIntoOneFatSpilledMessage) {
   while (!leader_blocked.load(std::memory_order_acquire)) {
     std::this_thread::yield();
   }
-  // The leader popped only its own record and now sits inside flush()
-  // holding the combiner lock. Every follower publishes, fails the lock,
-  // and spins on its shipped flag.
+  // The leader found the lock free, took the fast path and now sits inside
+  // its send, holding the combiner lock with only its own entry shipped.
+  // Every follower fails the lock, publishes its record, and spins on its
+  // shipped flag.
   std::atomic<int> started{0};
   std::vector<std::thread> followers;
   for (int i = 0; i < 3; ++i) {
@@ -263,8 +301,8 @@ TEST(FatPayload, CombinerGathersWaitersIntoOneFatSpilledMessage) {
   while (started.load(std::memory_order_acquire) < 3) {
     std::this_thread::yield();
   }
-  // Grace for the slowest follower to get from `started` to its push (the
-  // push is the first statement of submit); then let the leader go.
+  // Grace for the slowest follower to get from `started` to its push (a
+  // failed lock test, then the push, open submit); then let the leader go.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   release_leader.store(true, std::memory_order_release);
   leader.join();
@@ -274,6 +312,71 @@ TEST(FatPayload, CombinerGathersWaitersIntoOneFatSpilledMessage) {
       << "the lock winner did not gather every waiting record";
   EXPECT_EQ(combiner.requests_combined(), 4u);
   EXPECT_EQ(combiner.max_batch(), 3u);
+  EXPECT_EQ(FatArena::instance().outstanding(), outstanding_before)
+      << "a spilled fat payload was never released";
+}
+
+TEST(CombinerFastPath, LoneSubmitShipsItsOwnEntryInline) {
+  // Uncontended, the requester wins the lock outright and ships its entry
+  // in one single-entry message: inline, no arena block.
+  obs::Counter& acquires =
+      obs::Registry::instance().counter("runtime.fat_arena.acquires");
+  const std::uint64_t acquires_before = acquires.value();
+  RequestCombiner combiner;
+  RequestCombiner::Entry e{};
+  e.kind = 3;
+  e.value = 42;
+  int messages = 0;
+  Message shipped;
+  combiner.submit(e, [&](Message& m) {
+    ++messages;
+    shipped = m;
+  });
+  EXPECT_EQ(messages, 1);
+  EXPECT_EQ(shipped.fat_count, 1u);
+  EXPECT_EQ(shipped.fat_spilled, 0u);
+  EXPECT_EQ(fat_entries(shipped)[0].kind, 3u);
+  EXPECT_EQ(fat_entries(shipped)[0].value, 42u);
+  EXPECT_EQ(acquires.value(), acquires_before)
+      << "a single-entry batch borrowed an arena block";
+  EXPECT_EQ(combiner.batches_sent(), 1u);
+  EXPECT_EQ(combiner.requests_combined(), 1u);
+  EXPECT_EQ(combiner.max_batch(), 1u);
+}
+
+TEST(CombinerFastPath, ConcurrentSubmitsShipEveryValueExactlyOnce) {
+  // Fast-path winners and queued losers mixed: every submitted value must
+  // be shipped exactly once, and every spilled batch returned.
+  const std::uint64_t outstanding_before =
+      FatArena::instance().outstanding();
+  constexpr std::uint64_t kThreads = 4;
+  constexpr std::uint64_t kSubmits = 5000;
+  RequestCombiner combiner;
+  // Written only inside send, which runs under the combiner lock.
+  std::vector<std::uint32_t> shipped(kThreads * kSubmits, 0);
+  auto consume = [&](Message& m) {
+    const FatEntry* entries = fat_entries(m);
+    for (std::uint16_t i = 0; i < m.fat_count; ++i) {
+      ++shipped[entries[i].value];
+    }
+    release_fat_payload(m);  // the test stands in for the receiving core
+  };
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kSubmits; ++i) {
+        RequestCombiner::Entry e{};
+        e.value = t * kSubmits + i;
+        combiner.submit(e, consume);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::uint64_t wrong = 0;
+  for (const std::uint32_t n : shipped) wrong += n != 1;
+  EXPECT_EQ(wrong, 0u) << "a value was lost or shipped twice";
+  EXPECT_EQ(combiner.requests_combined(), kThreads * kSubmits);
+  EXPECT_LE(combiner.max_batch(), RequestCombiner::kMaxCombine);
   EXPECT_EQ(FatArena::instance().outstanding(), outstanding_before)
       << "a spilled fat payload was never released";
 }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "sim/ds/linked_lists.hpp"
+#include "sim/ds/queues.hpp"
 #include "sim/engine.hpp"
 #include "sim/flat_combining.hpp"
 #include "sim/mailbox.hpp"
@@ -158,6 +159,25 @@ TEST(SimFlatCombinerHarness, ServesEveryRequestExactlyOnce) {
   engine.run();
   EXPECT_EQ(sum, expected);
   EXPECT_EQ(fc.pending_count(), 0u);
+}
+
+TEST(SimFlatCombinerHarness, NoRequestStrandedInTheUnlockWindow) {
+  // SimMutex::unlock yields before the lock reads free; under this
+  // perturbation a requester publishes and fails try_lock inside that
+  // window. Before the releasing combiner re-checked the publication list,
+  // the run ended in "deadlock; blocked actors: enq2".
+  QueueConfig cfg;
+  cfg.arrival = ArrivalSchedule::kDeterministic;
+  cfg.arrival_period_ns = 900.0;
+  cfg.enqueuers = 3;
+  cfg.dequeuers = 3;
+  cfg.initial_nodes = 5000;
+  cfg.duration_ns = 300'000;
+  cfg.seed = 6;
+  cfg.perturb.seed = 77;
+  RunResult r;
+  ASSERT_NO_THROW(r = run_fc_queue(cfg));
+  EXPECT_GT(r.total_ops, 0u);
 }
 
 }  // namespace
