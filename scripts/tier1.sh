@@ -113,7 +113,8 @@ if [[ "$skip_tsan" == 0 ]]; then
   cmake --preset tsan > /dev/null
   cmake --build build-tsan -j --target \
     test_runtime test_mailbox_batch test_spsc_ring test_obs test_telemetry \
-    test_sentinel_refresh test_extensions test_queue_protocol
+    test_sentinel_refresh test_extensions test_queue_protocol \
+    test_migration_protocol
   # No suppressions: the runtime message path must be genuinely race-free.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_runtime
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_mailbox_batch
@@ -136,7 +137,17 @@ if [[ "$skip_tsan" == 0 ]]; then
   # including the ACTIVE AutoRebalancer choosing splits itself, and the
   # adaptive-combining flips racing the send path.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_sentinel_refresh
+  # Each op counted once, where it executes, while one-key migration steps
+  # ping-pong a range under three clients: repeated for more interleavings
+  # of the per-vault counters and the LoadMap against the hand-over.
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_sentinel_refresh \
+    --gtest_filter='SentinelRefresh.EachOpIsCountedOnceWhereItExecutes' \
+    --gtest_repeat=5
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_extensions
+  # The shared Section 4.2.1 protocol and rebalance decision through the
+  # recording fake port (the runtime and the simulator both run this code).
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_migration_protocol \
+    --gtest_repeat=5
   # The shared queue protocol on real threads, faults included: the
   # self-addressed hand-off list and the per-vault counters CPUs read racily.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_queue_protocol

@@ -1,7 +1,7 @@
 #include "core/auto_rebalancer.hpp"
 
-#include <algorithm>
 #include <cstdio>
+#include <optional>
 
 #include "obs/metrics.hpp"
 
@@ -9,34 +9,19 @@ namespace pimds::core {
 
 namespace {
 
-obs::Counter& triggered_counter() {
-  static obs::Counter& c =
-      obs::Registry::instance().counter("rebalancer.triggered");
-  return c;
+obs::Counter& counter(const char* name) {
+  return obs::Registry::instance().counter(name);
 }
 
-obs::Counter& migrated_keys_counter() {
-  static obs::Counter& c =
-      obs::Registry::instance().counter("rebalancer.migrated_keys");
-  return c;
-}
-
-obs::Counter& would_trigger_counter() {
-  static obs::Counter& c =
-      obs::Registry::instance().counter("rebalancer.would_trigger");
-  return c;
-}
-
-obs::Counter& combine_flips_counter() {
-  static obs::Counter& c =
-      obs::Registry::instance().counter("rebalancer.combine_flips");
-  return c;
-}
-
-obs::Gauge& settled_gauge() {
-  static obs::Gauge& g = obs::Registry::instance().gauge(
-      "rebalancer.settled", obs::GaugeMerge::kLast);
-  return g;
+RebalanceParams policy_params(const AutoRebalancer::Options& options,
+                              const PimSkipList& list) {
+  RebalanceParams p;
+  p.imbalance_enter = options.imbalance_ratio;
+  p.cooldown_periods = options.cooldown_periods;
+  p.min_window_ops = options.min_window_ops;
+  p.max_migrations = options.max_migrations;
+  p.key_max = list.options().key_max;
+  return p;
 }
 
 }  // namespace
@@ -44,6 +29,8 @@ obs::Gauge& settled_gauge() {
 AutoRebalancer::AutoRebalancer(PimSkipList& list, Options options)
     : list_(list),
       options_(options),
+      policy_(list.loadmap().options().num_vaults,
+              policy_params(options, list)),
       combining_on_(list.loadmap().options().num_ranges, 0) {}
 
 AutoRebalancer::AutoRebalancer(PimSkipList& list)
@@ -53,7 +40,6 @@ void AutoRebalancer::start() {
   if (started_) return;
   stop_.store(false, std::memory_order_relaxed);
   started_ = true;
-  last_migrated_keys_ = list_.migrated_keys();
   thread_ = std::thread([this] {
     while (!stop_.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(options_.period);
@@ -67,78 +53,11 @@ void AutoRebalancer::stop() {
   stop_.store(true, std::memory_order_release);
   if (thread_.joinable()) thread_.join();
   started_ = false;
-  account_migrated_keys();  // attribute keys from the final migration
 }
 
 obs::LoadMap::HotVaultReport AutoRebalancer::last_report() const {
   std::lock_guard<std::mutex> lock(report_mu_);
   return last_report_;
-}
-
-bool AutoRebalancer::partition_span(std::uint64_t key, std::uint64_t& lo,
-                                    std::uint64_t& hi,
-                                    std::size_t& vault) const {
-  const auto partitions = list_.partitions();
-  for (std::size_t i = 0; i < partitions.size(); ++i) {
-    const std::uint64_t p_lo = partitions[i].sentinel;
-    const std::uint64_t p_hi = i + 1 < partitions.size()
-                                   ? partitions[i + 1].sentinel
-                                   : list_.options().key_max + 1;
-    if (key >= p_lo && key < p_hi) {
-      lo = p_lo;
-      hi = p_hi;
-      vault = partitions[i].vault;
-      return true;
-    }
-  }
-  return false;
-}
-
-std::uint64_t AutoRebalancer::suggest_split(
-    const obs::LoadMap::HotVaultReport& rep, std::size_t hot) const {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-  std::size_t owner = 0;
-  // 1) Single dominant hot key: when the sketch's top entry holds at least
-  // half the tracked mass, the hot "range" is really one key. A midpoint
-  // split relocates or keeps the whole spot; splitting at the key's
-  // SUCCESSOR keeps only the hot key on the source and sheds everything
-  // above it, which is the best a suffix migration can do.
-  if (!rep.hot_keys.empty()) {
-    std::uint64_t mass = 0;
-    for (const auto& k : rep.hot_keys) mass += k.count;
-    const auto& top = rep.hot_keys[0];
-    if (mass > 0 && top.count * 2 >= mass &&
-        partition_span(top.key, lo, hi, owner) && owner == hot &&
-        top.key + 1 < hi && top.key + 1 <= list_.options().key_max) {
-      return top.key + 1;
-    }
-  }
-  // 2) Midpoint of the hottest key range that falls inside a partition the
-  // hot vault owns: splitting just below the hot spot moves it, where the
-  // blind widest-partition midpoint may leave it in place.
-  for (const auto& r : rep.hot_ranges) {
-    const std::uint64_t mid = r.lo + (r.hi - r.lo) / 2;
-    if (partition_span(mid, lo, hi, owner) && owner == hot && mid > lo) {
-      return mid;
-    }
-  }
-  // 3) Fallback: midpoint of the hot vault's widest partition.
-  const auto partitions = list_.partitions();
-  std::uint64_t best_lo = 0;
-  std::uint64_t best_hi = 0;
-  for (std::size_t i = 0; i < partitions.size(); ++i) {
-    if (partitions[i].vault != hot) continue;
-    const std::uint64_t p_lo = partitions[i].sentinel;
-    const std::uint64_t p_hi = i + 1 < partitions.size()
-                                   ? partitions[i + 1].sentinel
-                                   : list_.options().key_max + 1;
-    if (p_hi - p_lo > best_hi - best_lo) {
-      best_lo = p_lo;
-      best_hi = p_hi;
-    }
-  }
-  return best_lo + (best_hi - best_lo) / 2;
 }
 
 void AutoRebalancer::update_combining(
@@ -156,59 +75,48 @@ void AutoRebalancer::update_combining(
   }
   for (std::size_t i = 0; i < combining_on_.size(); ++i) {
     const bool on = combining_on_[i] != 0;
-    if (!on && share[i] >= options_.combine_enter_share) {
-      combining_on_[i] = 1;
-      list_.set_range_combining(i, true);
-      combine_flips_counter().add(1);
-      if (options_.log_decisions) {
-        std::fprintf(stderr,
-                     "[auto_rebalancer] combining ON for range %zu "
-                     "(share %.2f >= %.2f)\n",
-                     i, share[i], options_.combine_enter_share);
-      }
-    } else if (on && share[i] < options_.combine_exit_share) {
-      combining_on_[i] = 0;
-      list_.set_range_combining(i, false);
-      combine_flips_counter().add(1);
-      if (options_.log_decisions) {
-        std::fprintf(stderr,
-                     "[auto_rebalancer] combining OFF for range %zu "
-                     "(share %.2f < %.2f)\n",
-                     i, share[i], options_.combine_exit_share);
-      }
+    // ON at >= enter share; once on, it stays on down to the exit share.
+    const double bar =
+        on ? options_.combine_exit_share : options_.combine_enter_share;
+    if ((share[i] >= bar) == on) continue;
+    combining_on_[i] = on ? 0 : 1;
+    list_.set_range_combining(i, !on);
+    counter("rebalancer.combine_flips").add(1);
+    if (options_.log_decisions) {
+      std::fprintf(stderr,
+                   "[auto_rebalancer] combining %s for range %zu "
+                   "(share %.2f %s %.2f)\n",
+                   on ? "OFF" : "ON", i, share[i], on ? "<" : ">=", bar);
     }
   }
 }
 
-void AutoRebalancer::account_migrated_keys() {
-  const std::uint64_t cur = list_.migrated_keys();
-  if (cur > last_migrated_keys_) {
-    migrated_keys_counter().add(cur - last_migrated_keys_);
-    last_migrated_keys_ = cur;
-  }
+void AutoRebalancer::log_decision(const char* what,
+                                  const obs::LoadMap::HotVaultReport& rep,
+                                  const SplitProposal& p) const {
+  if (!options_.log_decisions) return;
+  std::fprintf(stderr,
+               "[auto_rebalancer] %s: %s; migrating [%llu, %llu) vault %zu "
+               "-> vault %zu\n",
+               what, rep.summary().c_str(),
+               static_cast<unsigned long long>(p.split),
+               static_cast<unsigned long long>(p.hi), p.source, p.target);
 }
 
 void AutoRebalancer::tick_observe() {
   obs::LoadMap::HotVaultReport rep = list_.loadmap().report();
   if (rep.window_ops < options_.min_window_ops) return;
-  const bool trigger = rep.hottest != rep.coldest &&
-                       rep.imbalance_ratio >= options_.imbalance_ratio;
   {
     std::lock_guard<std::mutex> lock(report_mu_);
     last_report_ = rep;
   }
-  if (!trigger) return;
+  // Exactly the migration active mode would start with none in flight.
+  const std::optional<SplitProposal> p =
+      policy_.decide(rep, list_.directory(), /*migration_busy=*/false);
+  if (!p.has_value()) return;
   would_trigger_.fetch_add(1, std::memory_order_relaxed);
-  would_trigger_counter().add(1);
-  if (options_.log_decisions) {
-    const std::uint64_t split = suggest_split(rep, rep.hottest);
-    std::fprintf(stderr,
-                 "[auto_rebalancer] would-trigger: %s; would migrate "
-                 "[%llu, end of partition) -> vault %zu (threshold %.2f)\n",
-                 rep.summary().c_str(),
-                 static_cast<unsigned long long>(split), rep.coldest,
-                 options_.imbalance_ratio);
-  }
+  counter("rebalancer.would_trigger").add(1);
+  log_decision("would-trigger", rep, *p);
 }
 
 void AutoRebalancer::tick_active() {
@@ -217,51 +125,20 @@ void AutoRebalancer::tick_active() {
     std::lock_guard<std::mutex> lock(report_mu_);
     last_report_ = rep;
   }
-  if (cooldown_.size() != rep.per_vault_ops.size()) {
-    cooldown_.assign(rep.per_vault_ops.size(), 0);
-  }
-  for (auto& c : cooldown_) {
-    if (c > 0) --c;
-  }
-  account_migrated_keys();
   if (options_.adaptive_combining) update_combining(rep);
-  if (rep.window_ops < options_.min_window_ops) return;  // noise floor
-  const bool settled = rep.imbalance_ratio < options_.imbalance_exit;
-  settled_.store(settled, std::memory_order_relaxed);
-  settled_gauge().set(settled ? 1 : 0);
-  if (rep.hottest == rep.coldest) return;
-  if (rep.imbalance_ratio < options_.imbalance_ratio) return;  // below ENTER
-  if (cooldown_[rep.hottest] > 0) return;  // recent source is cooling down
-  if (list_.migration_active()) return;    // one migration at a time
-  if (migrations_.load(std::memory_order_relaxed) >=
-      options_.max_migrations) {
-    return;
+  if (rep.window_ops >= options_.min_window_ops) {  // noise floor
+    const bool settled = rep.imbalance_ratio < options_.imbalance_exit;
+    settled_.store(settled, std::memory_order_relaxed);
+    obs::Registry::instance()
+        .gauge("rebalancer.settled", obs::GaugeMerge::kLast)
+        .set(settled ? 1 : 0);
   }
-  const std::uint64_t split = suggest_split(rep, rep.hottest);
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-  std::size_t owner = 0;
-  if (!partition_span(split, lo, hi, owner) || owner != rep.hottest ||
-      split <= lo) {
-    // A split at (or below) the partition's own sentinel would move the
-    // WHOLE partition — relocating the hot spot instead of dividing it,
-    // which is the thrash shape. Nothing splittable this window.
-    return;
-  }
-  if (list_.migrate(split, rep.coldest)) {
-    migrations_.fetch_add(1, std::memory_order_relaxed);
-    triggered_counter().add(1);
-    cooldown_[rep.hottest] = options_.cooldown_periods;
-    if (options_.log_decisions) {
-      std::fprintf(stderr,
-                   "[auto_rebalancer] trigger: %s; migrating [%llu, %llu) "
-                   "vault %zu -> vault %zu\n",
-                   rep.summary().c_str(),
-                   static_cast<unsigned long long>(split),
-                   static_cast<unsigned long long>(hi), rep.hottest,
-                   rep.coldest);
-    }
-  }
+  const std::optional<SplitProposal> p =
+      policy_.decide(rep, list_.directory(), list_.migration_active());
+  if (!p.has_value() || !list_.migrate(p->split, p->target)) return;
+  policy_.accepted(*p);
+  counter("rebalancer.triggered").add(1);
+  log_decision("trigger", rep, *p);
 }
 
 void AutoRebalancer::tick() {

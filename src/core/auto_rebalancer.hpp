@@ -4,19 +4,14 @@
 // HotVaultReport (per-vault op windows, hot key ranges, SpaceSaving hot
 // keys) once per period and closes the control loop:
 //
-//  - active (default): when a window is eligible (>= min_window_ops) and
-//    the hottest vault exceeds `imbalance_enter` x mean, pick a split key
-//    from the report (hottest-range midpoint, or the top hot key's
-//    successor when one key dominates the sketch) and drive the Section
-//    4.2.1 migration protocol via PimSkipList::migrate(split, coldest).
-//    Hysteresis so the loop cannot thrash: an enter/exit threshold band
-//    (trigger at >= enter; the system only counts as settled again below
-//    exit — the `rebalancer.settled` gauge), a per-vault cooldown of
-//    `cooldown_periods` windows after a vault was the migration source
-//    (its next windows still contain pre-migration traffic), the
-//    min_window_ops noise floor, and at most one migration in flight
-//    (migration_busy_ is polled, never queued against).
-//  - observe-only: same decision pipeline, but LOG would-trigger lines
+//  - active (default): the shared per-window decision (core::MigrationPolicy
+//    in core/migration_protocol.hpp, which the simulator's active policy
+//    runs too) picks a split from the report's top-k hot ranges and hot
+//    keys, with hysteresis so the loop cannot thrash, and this thread
+//    starts it via PimSkipList::migrate(split, coldest). The system counts
+//    as settled again only below `imbalance_exit` (the `rebalancer.settled`
+//    gauge).
+//  - observe-only: the same decision, but LOG would-trigger lines
 //    (`rebalancer.would_trigger` counter + stderr) without migrating —
 //    the staging mode for trusting the policy before flipping it on.
 //
@@ -34,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/migration_protocol.hpp"
 #include "core/pim_skiplist.hpp"
 #include "obs/loadmap.hpp"
 
@@ -85,9 +81,10 @@ class AutoRebalancer {
   void stop();
 
   /// Migrations actually triggered (also `rebalancer.triggered` in the
-  /// metrics registry; `rebalancer.migrated_keys` carries the key count).
+  /// metrics registry; `runtime.skiplist.migrated_keys` carries the key
+  /// count of every migration).
   std::size_t migrations_triggered() const noexcept {
-    return migrations_.load(std::memory_order_relaxed);
+    return policy_.migrations();
   }
 
   /// Observe-only decisions so far (also `rebalancer.would_trigger` in the
@@ -105,40 +102,21 @@ class AutoRebalancer {
   /// Copy of the LoadMap report behind the latest decision window.
   obs::LoadMap::HotVaultReport last_report() const;
 
-  /// Split key for a (would-)trigger decision; public so the policy is
-  /// testable without timing. Preference order:
-  ///  1. the SpaceSaving top hot key's SUCCESSOR, when that one key
-  ///     dominates the sketch (>= half its tracked mass) and lies in a
-  ///     partition the hot vault owns — a midpoint split would either
-  ///     leave the hot key where it is or relocate the whole hot spot,
-  ///     while splitting just above it isolates the key and sheds the
-  ///     rest of the partition;
-  ///  2. the midpoint of the hottest key range owned by the hot vault;
-  ///  3. the midpoint of the hot vault's widest partition.
-  std::uint64_t suggest_split(const obs::LoadMap::HotVaultReport& rep,
-                              std::size_t hot) const;
-
  private:
   void tick();
   void tick_observe();
   void tick_active();
   void update_combining(const obs::LoadMap::HotVaultReport& rep);
-  void account_migrated_keys();
-  /// [lo, hi) of the partition containing `key` plus its owner; hi is
-  /// key_max + 1 for the last partition. Returns false if key is below
-  /// every sentinel (cannot happen for in-range keys).
-  bool partition_span(std::uint64_t key, std::uint64_t& lo,
-                      std::uint64_t& hi, std::size_t& vault) const;
+  void log_decision(const char* what, const obs::LoadMap::HotVaultReport& rep,
+                    const SplitProposal& p) const;
 
   PimSkipList& list_;
   Options options_;
   std::atomic<bool> stop_{false};
-  std::atomic<std::size_t> migrations_{0};
+  MigrationPolicy policy_;
   std::atomic<std::size_t> would_trigger_{0};
   std::atomic<bool> settled_{true};
-  std::vector<std::size_t> cooldown_;       // per-vault windows remaining
   std::vector<std::uint8_t> combining_on_;  // per-range, policy view
-  std::uint64_t last_migrated_keys_ = 0;
   mutable std::mutex report_mu_;
   obs::LoadMap::HotVaultReport last_report_;
   std::thread thread_;

@@ -7,18 +7,19 @@
 // paper's protocol: the source keeps serving requests during the migration
 // (keys not yet migrated are served locally, already-migrated keys are
 // forwarded to the target), the directory is updated when the hand-over
-// completes, and stale requests are rejected so the CPU re-routes.
+// completes, and stale requests are rejected so the CPU re-routes. The
+// vault-side protocol is core/migration_protocol.hpp, shared with the
+// simulator; this file binds it to the runtime.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "common/cacheline.hpp"
 #include "core/local_skiplist.hpp"
+#include "core/migration_protocol.hpp"
 #include "core/sentinel_directory.hpp"
 #include "obs/loadmap.hpp"
 #include "runtime/combiner.hpp"
@@ -55,10 +56,11 @@ class PimSkipList {
   /// poll migration_active().
   bool migrate(std::uint64_t split_key, std::size_t to_vault);
   bool migration_active() const noexcept {
-    return migration_busy_.value.load(std::memory_order_acquire);
+    return protocol_.migration_busy();
   }
 
-  /// Racy per-vault statistics (request counts drive rebalancing policy).
+  /// Racy per-vault statistics. `requests` counts each operation once, at
+  /// the vault that executed it (the rebalancing signal).
   struct VaultStats {
     std::uint64_t keys = 0;
     std::uint64_t requests = 0;
@@ -66,7 +68,10 @@ class PimSkipList {
   std::vector<VaultStats> vault_stats() const;
 
   std::vector<SentinelDirectory::Entry> partitions() const {
-    return directory_.snapshot();
+    return protocol_.directory().snapshot();
+  }
+  const SentinelDirectory& directory() const noexcept {
+    return protocol_.directory();
   }
 
   /// Per-vault / per-key-range load accounting fed from the vault service
@@ -74,11 +79,10 @@ class PimSkipList {
   /// hot-vault questions for the rebalancer's observe-only mode.
   obs::LoadMap& loadmap() noexcept { return loadmap_; }
 
-  /// Cumulative keys handed over by migrations (one per kMigNode sent).
-  /// The auto-rebalancer exports the windowed delta as
-  /// `rebalancer.migrated_keys`.
-  std::uint64_t migrated_keys() const noexcept {
-    return migrated_keys_.value.load(std::memory_order_relaxed);
+  /// Cumulative migration protocol events over all vaults (also the
+  /// `runtime.skiplist.*` registry counters).
+  std::uint64_t count(MigrationCount c) const noexcept {
+    return protocol_.count(c);
   }
 
   /// Contention-adaptive combining (keyed off the same LoadMap grid the
@@ -99,13 +103,6 @@ class PimSkipList {
     return combine_range_[loadmap_.range_of(key)].load(
                std::memory_order_relaxed) != 0;
   }
-  std::size_t combining_ranges() const noexcept {
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < loadmap_.options().num_ranges; ++i) {
-      n += combine_range_[i].load(std::memory_order_relaxed) != 0;
-    }
-    return n;
-  }
   /// Fat batches shipped / ops carried by them, summed over vault combiners.
   std::uint64_t combined_batches() const noexcept;
   std::uint64_t combined_ops() const noexcept;
@@ -115,71 +112,39 @@ class PimSkipList {
   const Options& options() const noexcept { return options_; }
 
  private:
+  class Port;
+
   enum Kind : std::uint32_t {
     kAdd = 1,
     kRemove = 2,
     kContains = 3,
     kMigStart = 4,  ///< CPU -> source: begin migration (key=split, value=hi)
-    kMigBegin = 5,  ///< source -> target: incoming range announcement
-    kMigNode = 6,   ///< source -> target: one migrated key
-    kMigEnd = 7,    ///< source -> target: hand-over complete
+    kMigBegin = 5,  ///< source -> target: MigKind::kBegin (value=hi) ...
+    kMigNode = 6,   ///< ... kNode ...
+    kMigEnd = 7,    ///< ... kEnd, in MigKind order
     kFwdAdd = 8,    ///< source -> target: forwarded operations
     kFwdRemove = 9,
     kFwdContains = 10,
     kOpBatch = 11,  ///< CPU -> vault: combined fat batch of direct ops
   };
 
-  struct OpReply {
-    bool accepted = false;
-    bool result = false;
-  };
-
-  struct Migration {
-    bool active = false;
-    bool outgoing = false;
-    std::uint64_t lo = 0;
-    std::uint64_t hi = 0;
-    std::size_t peer = 0;
-    std::uint64_t cursor = 0;  ///< next key to migrate (ascending)
-  };
-
+  /// The vault-local half of the skip list: the list itself and what the
+  /// port needs around it. Touched only by the vault's core, except the
+  /// relaxed key count.
   struct VaultState {
     std::unique_ptr<LocalSkipList> list;
-    Migration mig;
     /// Target-side fingers: kMigNode keys arrive ascending, so inserts are
     /// amortized O(1) (dual of the source's amortized extraction).
     LocalSkipList::InsertCursor incoming_cursor;
-    /// Direct requests for an incoming range, deferred until kMigEnd so
-    /// they cannot overtake in-flight kMigNode messages.
-    std::deque<runtime::Message> deferred;
-    /// This core's OWN view of the ranges it serves (lo -> hi, exclusive),
-    /// advanced only by events this core has already processed: its own
-    /// hand-over completion removes a range, processing kMigEnd adds one.
-    /// The execute/reject decision must consult this view and never the
-    /// shared directory: the source updates the directory before the target
-    /// has processed the granting kMigBegin/kMigNode/kMigEnd stream, so a
-    /// request already queued ahead of that stream would pass a directory
-    /// check and be answered from a list missing the in-flight nodes.
-    std::map<std::uint64_t, std::uint64_t> owned;
-    CachePadded<std::atomic<std::uint64_t>> requests{0};
     CachePadded<std::atomic<std::uint64_t>> keys{0};
   };
 
-  void handle(runtime::PimCoreApi& api, const runtime::Message& m);
-  void handle_op(runtime::PimCoreApi& api, const runtime::Message& m,
-                 bool forwarded);
-  void execute_and_reply(runtime::PimCoreApi& api, const runtime::Message& m);
-  /// Move up to migrate_chunk nodes; finishes the migration when drained.
-  bool step_migration(runtime::PimCoreApi& api);
+  void handle(Port& port, const runtime::Message& m);
   bool submit(Kind kind, std::uint64_t key);
-  static bool owns_locally(const VaultState& vs, std::uint64_t key);
-  static Kind forward_kind(std::uint32_t op) {
-    return static_cast<Kind>(op + 7);  // kAdd->kFwdAdd etc.
-  }
 
   runtime::PimSystem& system_;
   Options options_;
-  SentinelDirectory directory_;
+  MigrationProtocol<runtime::Message> protocol_;
   obs::LoadMap loadmap_;
   std::vector<std::unique_ptr<VaultState>> vaults_;
   /// One combiner per destination vault (combining is per crossbar link).
@@ -187,8 +152,6 @@ class PimSkipList {
   /// LoadMap range grid -> combine flag; written by the rebalancer thread,
   /// read on every submit().
   std::unique_ptr<std::atomic<std::uint8_t>[]> combine_range_;
-  CachePadded<std::atomic<std::uint64_t>> migrated_keys_{0};
-  CachePadded<std::atomic<bool>> migration_busy_{false};
 };
 
 }  // namespace pimds::core

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <shared_mutex>
@@ -40,7 +41,7 @@ class SentinelDirectory {
   /// stands in for the paper's cached sentinel lookup.
   std::size_t route(std::uint64_t key) const {
     std::shared_lock lock(mutex_);
-    return locate_unlocked(key).vault;
+    return entries_[locate_unlocked(key)].vault;
   }
 
   /// [sentinel, end) of the partition containing `key`; `end` is the next
@@ -52,11 +53,10 @@ class SentinelDirectory {
   };
   Range partition_of(std::uint64_t key) const {
     std::shared_lock lock(mutex_);
-    const auto it = locate_iter_unlocked(key);
-    const std::uint64_t hi = (it + 1) == entries_.end()
-                                 ? ~std::uint64_t{0}
-                                 : (it + 1)->sentinel;
-    return {it->sentinel, hi, it->vault};
+    const std::size_t i = locate_unlocked(key);
+    const std::uint64_t hi =
+        i + 1 == entries_.size() ? ~std::uint64_t{0} : entries_[i + 1].sentinel;
+    return {entries_[i].sentinel, hi, entries_[i].vault};
   }
 
   std::vector<Entry> snapshot() const {
@@ -70,14 +70,15 @@ class SentinelDirectory {
   /// source core when every node has been handed over (Section 4.2.1).
   void move_range(std::uint64_t split_key, std::size_t new_vault) {
     std::unique_lock lock(mutex_);
-    auto it = locate_iter_unlocked(split_key);
-    if (it->sentinel == split_key) {
-      it->vault = new_vault;
+    const std::size_t i = locate_unlocked(split_key);
+    if (entries_[i].sentinel == split_key) {
+      entries_[i].vault = new_vault;
       // Merge with an identical-vault predecessor is possible but kept:
       // extra sentinels are harmless and the paper never deletes them.
       return;
     }
-    entries_.insert(it + 1, Entry{split_key, new_vault});
+    entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                    Entry{split_key, new_vault});
   }
 
   std::size_t partition_count() const {
@@ -86,27 +87,14 @@ class SentinelDirectory {
   }
 
  private:
-  const Entry& locate_unlocked(std::uint64_t key) const {
-    return *locate_iter_unlocked(key);
-  }
-
-  std::vector<Entry>::const_iterator locate_iter_unlocked(
-      std::uint64_t key) const {
+  /// Index of the entry owning `key` (greatest sentinel <= key).
+  std::size_t locate_unlocked(std::uint64_t key) const {
     auto it = std::upper_bound(entries_.begin(), entries_.end(), key,
                                [](std::uint64_t k, const Entry& e) {
                                  return k < e.sentinel;
                                });
     assert(it != entries_.begin() && "key below the first sentinel");
-    return it - 1;
-  }
-
-  std::vector<Entry>::iterator locate_iter_unlocked(std::uint64_t key) {
-    auto it = std::upper_bound(entries_.begin(), entries_.end(), key,
-                               [](std::uint64_t k, const Entry& e) {
-                                 return k < e.sentinel;
-                               });
-    assert(it != entries_.begin() && "key below the first sentinel");
-    return it - 1;
+    return static_cast<std::size_t>(it - entries_.begin()) - 1;
   }
 
   mutable std::shared_mutex mutex_;

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 
+#include "core/migration_protocol.hpp"
 #include "sim/workload.hpp"
 
 namespace pimds::sim {
@@ -50,66 +51,19 @@ RunResult run_lockfree_skiplist(const SkipListConfig& cfg);
 RunResult run_fc_skiplist(const SkipListConfig& cfg, std::size_t partitions);
 RunResult run_pim_skiplist(const SkipListConfig& cfg, std::size_t partitions);
 
-/// Section 4.2.1 at full scale: the PIM skip-list under a Zipf-skewed
-/// workload, with the non-blocking node-migration protocol (source keeps
-/// serving: not-yet-migrated keys locally, already-migrated keys by
-/// forwarding; target defers racing direct requests until the hand-over
-/// completes; CPUs re-route after rejection).
-/// Deliberately broken migration variants (Section 4.2.1) for checker
-/// mutation testing; each MUST be flagged by the linearizability checker.
-enum class RebalanceFault : std::uint8_t {
-  kNone,
-  /// The source vault keeps serving ALL keys locally during migration —
-  /// including already-migrated ones it should forward. Updates to a
-  /// migrated key land on the stale copy and are lost when the target's
-  /// copy becomes authoritative.
-  kStaleServe,
-  /// Notify-first hand-off without the defer rule: the directory is updated
-  /// at migration START (so CPUs route directly to the target while nodes
-  /// are still streaming over), and the target answers those requests from
-  /// its incomplete local list instead of parking them until kMigEnd.
-  /// Reads miss keys that exist. (The early notify alone would be safe —
-  /// that is the paper's design point — it is skipping the defer that
-  /// breaks; with the correct completion-time update the FIFO mailbox means
-  /// no direct request can ever overtake the final migrated node.)
-  kNoDefer,
-  /// Active-policy mutation: no cooldown, no enter threshold — the policy
-  /// fires a migration on EVERY eligible window. Linearizability holds
-  /// (the protocol is intact), but the policy never converges: it keeps
-  /// migrating to the end of the run. The harness flags it by the
-  /// stability assertion (no migrations in the final third once the
-  /// layout has settled).
-  kThrash,
-  /// Active-policy mutation: when a single hot key dominates the sketch,
-  /// split at the hot key itself instead of its successor — the hot key
-  /// travels WITH the migrated suffix, so every migration relocates the
-  /// hot spot wholesale instead of dividing the load. Flagged by the
-  /// imbalance-must-fall / stability assertions, not the checker.
-  kSplitOffByOne,
-  /// The execute/reject gate consults the SHARED directory instead of the
-  /// vault-local owned-ranges view — the historical bug the
-  /// linearizability oracle caught in the runtime twin: the source
-  /// publishes the new owner in the directory before the target has
-  /// processed the granting kMigBegin/kMigNode/kMigEnd stream (in the
-  /// runtime, per-sender lanes let a direct request overtake that stream;
-  /// the fault publishes at migration start to recreate the overtake under
-  /// the sim's in-order delivery), so a direct request passes the broken
-  /// gate and is answered from a list missing the in-flight nodes.
-  /// MUST be flagged by the checker.
-  kDirectoryBeforeGrant,
-};
+/// The migration protocol's mutation faults, shared with the runtime.
+using core::RebalanceFault;
 
 /// Who drives migrations in run_pim_skiplist_rebalance.
 enum class RebalancePolicy : std::uint8_t {
   /// Operator actor with workload-quantile knowledge splits the hot range
   /// at t = duration/3 (the historical scripted scenario).
   kOracle,
-  /// The sim twin of core/auto_rebalancer's active mode: a policy actor
-  /// samples windowed per-vault loads + a per-vault hot-key sketch every
-  /// policy_period_ns and drives kMigStart with hysteresis (enter
-  /// threshold, per-vault cooldown, min_window_ops floor) and the same
-  /// split-key preference (dominant top key's successor, else hottest
-  /// range midpoint, else widest partition midpoint).
+  /// core/auto_rebalancer's active mode in virtual time: a policy actor
+  /// samples windowed per-vault loads, the range grid and the hot vault's
+  /// hot-key sketch every policy_period_ns and runs the shared rebalance
+  /// decision (core::MigrationPolicy: enter threshold, per-vault cooldown,
+  /// min_window_ops floor, then the split-key preference).
   kActiveLoadMap,
 };
 
@@ -184,6 +138,12 @@ struct RebalanceResult {
   }
 };
 
+/// Section 4.2.1 at full scale: the PIM skip-list under a Zipf-skewed
+/// workload, with the non-blocking node-migration protocol (source keeps
+/// serving: not-yet-migrated keys locally, already-migrated keys by
+/// forwarding; target defers racing direct requests until the hand-over
+/// completes; CPUs re-route after rejection). The simulated PIM cores run
+/// the protocol code the runtime ships (core/migration_protocol.hpp).
 RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg);
 
 }  // namespace pimds::sim

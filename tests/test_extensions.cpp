@@ -215,15 +215,22 @@ TEST(AutoRebalancer, SuggestSplitIsolatesADominantTopKey) {
   // Regression for the observe-only suggestion: when ONE key dominates the
   // sketch, the split must be that key's SUCCESSOR (isolating the hot key),
   // not a midpoint that relocates or keeps the entire hot spot. The mutant
-  // that splits AT the hot key is kSplitOffByOne in the sim twin.
+  // that splits AT the hot key is RebalanceFault::kSplitOffByOne. The
+  // policy is the shared one (core/migration_protocol.hpp) both the
+  // AutoRebalancer and the simulator's active policy run; the inputs below
+  // are shaped like each binding's.
   runtime::PimSystem::Config config;
   config.num_vaults = 4;
   runtime::PimSystem system(config);
   core::PimSkipList::Options options;
   options.key_max = 1 << 16;
   core::PimSkipList list(system, options);
-  core::AutoRebalancer rebalancer(list);
+  const auto split = [&](const obs::LoadMap::HotVaultReport& rep) {
+    return core::suggest_split(rep, /*hot=*/0, list.directory(),
+                               options.key_max);
+  };
 
+  // Runtime-shaped input: LoadMap top-k ranges and merged-sketch keys.
   // Vault 0 owns [0, 1<<14) under the default 4-way split.
   obs::LoadMap::HotVaultReport rep;
   rep.window_ops = 1000;
@@ -233,13 +240,13 @@ TEST(AutoRebalancer, SuggestSplitIsolatesADominantTopKey) {
                   {/*key=*/778, /*count=*/200},
                   {/*key=*/12, /*count=*/100}};
   rep.hot_ranges = {{/*lo=*/512, /*hi=*/1023, /*ops=*/900}};
-  EXPECT_EQ(rebalancer.suggest_split(rep, /*hot=*/0), 778u)
+  EXPECT_EQ(split(rep), 778u)
       << "dominant top key (600 >= half of 900 tracked) -> successor split";
 
   // No dominance (top key holds < half the tracked mass): fall back to the
   // hottest owned range's midpoint.
   rep.hot_keys = {{777, 300}, {5000, 290}, {12, 280}};
-  EXPECT_EQ(rebalancer.suggest_split(rep, 0), 512u + (1023u - 512u) / 2)
+  EXPECT_EQ(split(rep), 512u + (1023u - 512u) / 2)
       << "no dominant key -> hottest-range midpoint";
 
   // Dominant key owned by ANOTHER vault: rule 1 must not fire for vault 0;
@@ -251,8 +258,29 @@ TEST(AutoRebalancer, SuggestSplitIsolatesADominantTopKey) {
   ASSERT_GE(parts.size(), 2u);
   const std::uint64_t p_lo = parts[0].sentinel;  // vault 0's only partition
   const std::uint64_t p_hi = parts[1].sentinel;
-  EXPECT_EQ(rebalancer.suggest_split(rep, 0), p_lo + (p_hi - p_lo) / 2)
+  EXPECT_EQ(split(rep), p_lo + (p_hi - p_lo) / 2)
       << "foreign hot key/range -> widest owned partition midpoint";
+
+  // Sim-shaped input: the full 64-range grid (every range with traffic,
+  // hottest first) and the hot vault's whole 8-entry sketch, zero-count
+  // slots dropped. Mass counts every slot, so a top key holding just under
+  // half of it does not dominate...
+  const std::uint64_t width = (std::uint64_t{1} << 16) / 64;
+  rep.hot_ranges.clear();
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    rep.hot_ranges.push_back({1 + i * width, (i + 1) * width, 64 - i});
+  }
+  rep.hot_keys = {{3, 399}, {40, 100}, {41, 100}, {42, 100},
+                  {43, 100}, {44, 100}, {45, 50}, {46, 50}};
+  EXPECT_EQ(split(rep), 1 + (width - 1) / 2)
+      << "399 of 999 is not half: hottest grid range's midpoint";
+  // ...and at half of it, it does.
+  rep.hot_keys[0].count = 600;
+  EXPECT_EQ(split(rep), 4u) << "600 of 1200: successor of the dominant key";
+  EXPECT_EQ(core::suggest_split(rep, 0, list.directory(), options.key_max,
+                                core::RebalanceFault::kSplitOffByOne),
+            3u)
+      << "the off-by-one mutant splits at the hot key itself";
 }
 
 TEST(RuntimeFatNodes, QueueStaysFifoWithEnqueueCombining) {

@@ -9,7 +9,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <random>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "core/auto_rebalancer.hpp"
 #include "core/pim_skiplist.hpp"
 #include "core/sentinel_directory.hpp"
+#include "obs/obs.hpp"
 
 namespace pimds::core {
 namespace {
@@ -284,6 +288,114 @@ TEST(SentinelRefresh, DirectoryAndStatsConvergeAfterMigration) {
   EXPECT_GT(after[2].requests, before[2].requests)
       << "refreshed routes must deliver requests to the new owner";
   EXPECT_GT(after[2].keys, 0u) << "migrated keys must live on the target";
+}
+
+TEST(SentinelRefresh, EachOpIsCountedOnceWhereItExecutes) {
+  // The rebalancer's load signal must count an operation once, at the vault
+  // that executed it: not again when the source forwards it, not on arrival
+  // AND on replay when the target defers it, and not at all where it was
+  // rejected. One-key migration steps ping-pong [500, end of partition)
+  // under three clients, so all three paths fire while the tally runs.
+  MigrationRig rig(/*migrate_chunk=*/1);
+  constexpr std::uint64_t kLo = 500;
+  constexpr std::uint64_t kRange = 64;
+  std::uint64_t setup_adds = 0;
+  for (std::uint64_t key = kLo; key < kLo + kRange; key += 2) {
+    ASSERT_TRUE(rig.list->add(key));
+    ++setup_adds;
+  }
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> completed{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 3; ++t) {
+    clients.emplace_back([&, t] {
+      Xoshiro256 rng(0xc0 + static_cast<std::uint64_t>(t));
+      while (!done.load(std::memory_order_relaxed)) {
+        const std::uint64_t key = kLo + rng.next() % kRange;
+        switch (rng.next() % 3) {
+          case 0: rig.list->add(key); break;
+          case 1: rig.list->remove(key); break;
+          default: rig.list->contains(key); break;
+        }
+        completed.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  const auto raced = [&] {
+    return rig.list->count(kForwarded) + rig.list->count(kDeferred) +
+           rig.list->count(kRejections);
+  };
+  // At least 40 hand-overs, and more until some op raced one (bounded: a
+  // scheduler may starve the clients for a while).
+  std::size_t target = 2;
+  for (int migrations = 0;
+       (migrations < 40 || raced() == 0) && migrations < 20'000;) {
+    if (!rig.list->migrate(kLo, target)) {
+      std::this_thread::yield();
+      continue;
+    }
+    ++migrations;
+    while (rig.list->migration_active()) std::this_thread::yield();
+    target = target == 2 ? 0 : 2;
+  }
+  done.store(true);
+  for (auto& th : clients) th.join();
+
+  EXPECT_GT(raced(), 0u)
+      << "no op raced a hand-over; the tally below proves nothing";
+  const std::uint64_t expected = completed.load() + setup_adds;
+  std::uint64_t requests = 0;
+  for (const auto& s : rig.list->vault_stats()) requests += s.requests;
+  EXPECT_EQ(requests, expected)
+      << "sum of per-vault requests must equal the executed operations";
+  if (obs::metrics_enabled()) {
+    std::uint64_t loadmap_ops = 0;
+    for (std::size_t v = 0; v < rig.config.num_vaults; ++v) {
+      loadmap_ops += rig.list->loadmap().vault_ops(v);
+    }
+    EXPECT_EQ(loadmap_ops, expected)
+        << "the LoadMap feeds the rebalancer the same count";
+  }
+}
+
+TEST(SentinelRefresh, TracedMigrationEmitsOneStartAndOneComplete) {
+  // The runtime's migration is observable through the same trace events
+  // as the simulator's: one migration, one mig_start (source), one
+  // mig_begin (target), one mig_complete (source).
+#ifdef PIMDS_OBS_DISABLED
+  GTEST_SKIP() << "tracing is compiled out (-DPIMDS_OBS=OFF)";
+#endif
+  obs::clear_trace();
+  obs::set_trace_enabled(true);
+  {
+    MigrationRig rig(/*migrate_chunk=*/4);
+    for (std::uint64_t key = 1; key < 1000; key += 7) {
+      ASSERT_TRUE(rig.list->add(key));
+    }
+    ASSERT_TRUE(rig.list->migrate(500, 3));
+    while (rig.list->migration_active()) std::this_thread::yield();
+  }  // the vault threads stop: the trace is quiesced
+  const std::string path =
+      ::testing::TempDir() + "test_sentinel_refresh_trace.json";
+  ASSERT_TRUE(obs::write_chrome_trace(path));
+  obs::set_trace_enabled(false);
+  obs::clear_trace();
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string text = buf.str();
+  const auto occurrences = [&](const std::string& event) {
+    const std::string needle = "\"name\":\"" + event + "\"";
+    std::size_t n = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(occurrences("mig_start"), 1u);
+  EXPECT_EQ(occurrences("mig_begin"), 1u);
+  EXPECT_EQ(occurrences("mig_complete"), 1u);
 }
 
 }  // namespace
