@@ -20,6 +20,17 @@ cmake -B build -S . > /dev/null
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
+# The checker-driven tests again under a 1 GB address-space cap: the queue
+# checker's memory is O(history), so a regression that makes it grow with
+# the search fails here fast with bad_alloc instead of being OOM-killed.
+(
+  ulimit -v 1000000
+  for t in test_linearizability test_queue_protocol test_checker_mutation \
+           test_schedule_explore; do
+    "./build/tests/$t" > /dev/null
+  done
+)
+
 # Opt-in: a longer schedule-exploration sweep of the segment hand-off and
 # migration protocols (docs/TESTING.md Section 5). CI's schedule-explore job
 # runs the full 1000-seed version.

@@ -1,10 +1,10 @@
 // Generic operation-history recorder for linearizability checking.
 //
 // A history is a set of operations, each with an invocation timestamp, a
-// response timestamp, an opcode, an argument, and a recorded result. The
-// recorder follows the FifoChecker::ThreadLog pattern: each participant
-// (real thread or simulator actor) owns a private log, so recording costs
-// one vector push and two timestamp reads and needs no synchronization.
+// response timestamp, an opcode, an argument, and a recorded result. Each
+// participant (real thread or simulator actor) owns a private log, so
+// recording costs one vector push and two timestamp reads and needs no
+// synchronization.
 //
 // The same types serve both harnesses:
 //  - the real-thread runtime records wall-clock timestamps (now_ns(), the

@@ -14,13 +14,24 @@
 // response nodes sorted by timestamp; linearizing an operation lifts its
 // pair out of the list, reaching a response whose operation cannot be
 // linearized backtracks, and an empty stack at that point is a violation.
+//
+// A queue cannot partition, and each interleaving of pending enqueues is a
+// distinct queue state, so the search's memo grows without bound on mixed
+// queue histories. check_queue_history is instead an exact sweep for
+// unique-value queue histories, O(n log n) time and O(n) memory; the search
+// over QueueSpec stays as the reference it is tested against.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <tuple>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -260,11 +271,146 @@ CheckResult check_history(const History& history,
   }
 }
 
-/// Convenience wrappers used throughout the tests.
+/// Exact check of a FIFO queue history whose enqueued values are unique
+/// (every harness here tags values per producer), in O(n log n) time and
+/// O(n) memory: one sweep over the invocations and responses in time order
+/// instead of a search. At equal timestamps invocations come first, the
+/// same permissive tie rule as the search above. The sweep keeps the
+/// linearized queue Q, seeded with `initial`, and linearizes
+///  - a dequeue as soon as it is pending and its value heads Q;
+///  - every pending empty dequeue whenever Q is empty;
+///  - an enqueue only when forced: at its own response, or at the response
+///    of the dequeue returning its value. Before enq(v) joins Q, each
+///    pending enqueue that must precede v joins, in order of its dequeue's
+///    end: if v is dequeued, those whose dequeue ends before v's begins;
+///    if v never is, every one whose value is dequeued.
+/// At one response time, empties are forced first, then dequeues, then
+/// enqueues. A forced empty that finds Q non-empty, or a forced deq(v) that
+/// does not find v at the head, is a violation, reported with the head
+/// value that blocks it. Recording the drain's final empty dequeue makes a
+/// lost value a violation. A duplicate enqueued value (or one also in
+/// `initial`) breaks the harness contract and throws std::invalid_argument;
+/// a value dequeued twice is a violation.
 inline CheckResult check_queue_history(const History& h,
-                                       QueueSpec::State initial = {},
-                                       const CheckOptions& opts = {}) {
-  return check_history<QueueSpec>(h, std::move(initial), opts);
+                                       QueueSpec::State initial = {}) {
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  const std::vector<Event>& ev = h.events;
+  const auto n = static_cast<std::uint32_t>(ev.size());
+  CheckResult result;
+  const auto fail = [&result](const Event& e, const std::string& why) {
+    result.verdict = Verdict::kNotLinearizable;
+    result.error = "no linearization admits " + to_string(e) + ": " + why;
+    return result;
+  };
+
+  // Pair enqueues and dequeues by value. Pre-filled value k stands for an
+  // already linearized enqueue numbered n + k.
+  std::unordered_map<std::uint64_t, std::uint32_t> enq_of;
+  const auto add_value = [&enq_of](std::uint64_t v, std::uint32_t i) {
+    if (!enq_of.emplace(v, i).second) {
+      throw std::invalid_argument("queue history enqueues value " +
+                                  std::to_string(v) + " twice");
+    }
+  };
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (ev[i].op == kEnq) {
+      add_value(ev[i].arg, i);
+    } else if (ev[i].op != kDeq) {
+      throw std::invalid_argument("not a queue op: " + to_string(ev[i]));
+    }
+  }
+  for (std::uint32_t k = 0; k < initial.items.size(); ++k) {
+    add_value(initial.items[k], n + k);
+  }
+  std::vector<std::uint32_t> partner(n + initial.items.size(), kNone);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (ev[i].op != kDeq || ev[i].ret == kRetEmpty) continue;
+    const auto enq = enq_of.find(ev[i].ret);
+    if (enq == enq_of.end()) return fail(ev[i], "its value is never enqueued");
+    const std::uint32_t e = enq->second;
+    if (partner[e] != kNone) {
+      return fail(ev[i], "also dequeued by " + to_string(ev[partner[e]]));
+    }
+    partner[i] = e;
+    partner[e] = i;
+  }
+
+  struct Item {
+    std::uint64_t value;
+    std::uint32_t deq;  ///< dequeue returning it, or kNone
+  };
+  std::deque<Item> q;
+  for (std::uint32_t k = 0; k < initial.items.size(); ++k) {
+    q.push_back({initial.items[k], partner[n + k]});
+  }
+  std::vector<std::uint8_t> invoked(n, 0);
+  std::vector<std::uint8_t> done(n, 0);
+  std::vector<std::uint32_t> empties;  ///< pending empty dequeues
+  /// Pending enqueues of dequeued values, by their dequeue's end.
+  std::set<std::pair<std::uint64_t, std::uint32_t>> waiting;
+
+  const auto settle = [&] {
+    while (!q.empty() && q.front().deq != kNone && invoked[q.front().deq]) {
+      done[q.front().deq] = 1;
+      q.pop_front();
+    }
+    if (q.empty()) {
+      for (const std::uint32_t e : empties) done[e] = 1;
+      empties.clear();
+    }
+  };
+  const auto join = [&](std::uint32_t e) {
+    done[e] = 1;
+    q.push_back({ev[e].arg, partner[e]});
+    if (partner[e] != kNone) waiting.erase({ev[partner[e]].end, e});
+  };
+  const auto force_enq = [&](std::uint32_t e) {
+    if (done[e]) return;
+    const std::uint64_t bound =
+        partner[e] == kNone ? ~std::uint64_t{0} : ev[partner[e]].begin;
+    while (!waiting.empty() && waiting.begin()->first < bound) {
+      join(waiting.begin()->second);
+    }
+    join(e);
+  };
+
+  // Sweep order (time, rank): rank 0 invocation, then the responses of
+  // empties (1), dequeues (2) and enqueues (3).
+  std::vector<std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>> points;
+  points.reserve(2 * std::size_t{n});
+  for (std::uint32_t i = 0; i < n; ++i) {
+    points.emplace_back(ev[i].begin, 0, i);
+    points.emplace_back(ev[i].end,
+                        ev[i].op == kEnq ? 3 : ev[i].ret == kRetEmpty ? 1 : 2,
+                        i);
+  }
+  std::sort(points.begin(), points.end());
+  for (const auto& [time, rank, i] : points) {
+    if (rank == 0) {
+      invoked[i] = 1;
+      if (ev[i].op == kEnq && partner[i] != kNone) {
+        waiting.emplace(ev[partner[i]].end, i);
+      }
+      if (ev[i].op == kDeq && ev[i].ret == kRetEmpty) empties.push_back(i);
+    } else if (rank == 3) {
+      force_enq(i);
+    } else if (rank == 2 && partner[i] < n) {
+      if (!invoked[partner[i]]) {
+        return fail(ev[i], "its enqueue " + to_string(ev[partner[i]]) +
+                               " has not been invoked yet");
+      }
+      force_enq(partner[i]);
+    }
+    settle();
+    if ((rank == 1 || rank == 2) && !done[i]) {
+      const Item& head = q.front();
+      return fail(ev[i], "the queue head is " + std::to_string(head.value) +
+                             (head.deq == kNone
+                                  ? ", which is never dequeued"
+                                  : ", whose dequeue has not been invoked yet"));
+    }
+  }
+  return result;
 }
 
 inline CheckResult check_set_history(const History& h,

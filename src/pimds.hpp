@@ -14,7 +14,6 @@
 #include "common/barrier.hpp"
 #include "common/cacheline.hpp"
 #include "common/ebr.hpp"
-#include "common/fifo_checker.hpp"
 #include "common/latency.hpp"
 #include "common/mpmc_queue.hpp"
 #include "common/rng.hpp"

@@ -41,14 +41,6 @@ void PimCoreApi::send(std::size_t other_vault, Message m) {
   system_.cores_[other_vault]->mailbox.send(m);
 }
 
-std::optional<Message> PimCoreApi::poll() {
-  return system_.cores_[vault_id_]->mailbox.poll_ready();
-}
-
-std::size_t PimCoreApi::drain(std::vector<Message>& out, std::size_t max_n) {
-  return system_.cores_[vault_id_]->mailbox.drain(out, max_n);
-}
-
 void PimCoreApi::charge_local_access(std::uint64_t n) const {
   auto& injector = LatencyInjector::instance();
   if (!injector.enabled()) return;

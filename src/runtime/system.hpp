@@ -24,7 +24,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -51,15 +50,6 @@ class PimCoreApi {
 
   /// PIM-to-PIM message (goes through the same crossbar as CPU traffic).
   void send(std::size_t other_vault, Message m);
-
-  /// Non-blocking receive from this core's own mailbox: lets a handler
-  /// drain an additional already-delivered request (the combining
-  /// optimization, Section 4.1). Never blocks on an in-flight message.
-  std::optional<Message> poll();
-
-  /// Non-blocking batch receive: appends every already-delivered message
-  /// (up to max_n) to `out`; returns the number appended.
-  std::size_t drain(std::vector<Message>& out, std::size_t max_n);
 
   /// Charge `n` local-vault accesses (spins for n * Lpim when injection is
   /// enabled, otherwise free).

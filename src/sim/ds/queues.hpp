@@ -82,7 +82,7 @@ struct QueueConfig {
   /// j into log(enqueuers + j). The pre-filled nodes carry values
   /// 0 .. initial_nodes-1 and enter the checker as the initial queue state;
   /// recorded enqueues use values tagged with the producer id so every
-  /// value in the history is unique (QueueSpec matches dequeues by value).
+  /// value in the history is unique, as check_queue_history requires.
   check::HistoryRecorder* recorder = nullptr;
 };
 

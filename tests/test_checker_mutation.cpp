@@ -20,13 +20,8 @@ namespace {
 
 /// One PIM-queue run with the given fault, checked. Dequeue-only against a
 /// large pre-fill: both queue faults corrupt the SERVE side (reversed
-/// segment, re-served head), so dequeuers alone exercise them — and a
-/// dequeue-only history keeps refutation cheap. Proving NON-linearizability
-/// means exhausting every linearization order; concurrent enqueues make the
-/// abstract states diverge per interleaving (no memoization pruning,
-/// exponential blow-up), while with a fixed pre-fill the state after k pops
-/// is the same no matter which dequeuer did them, so the DFS collapses.
-/// Small segments force frequent hand-offs so the faults fire many times.
+/// segment, re-served head), so dequeuers alone exercise them. Small
+/// segments force frequent hand-offs so the faults fire many times.
 check::CheckResult run_queue_once(std::uint64_t seed, sim::QueueFault fault) {
   sim::QueueConfig cfg;
   cfg.seed = seed;

@@ -4,10 +4,13 @@
 // recorded through the same types — one checker for both worlds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -20,7 +23,6 @@
 #include "check/history.hpp"
 #include "check/linearizability.hpp"
 #include "check/spec.hpp"
-#include "common/fifo_checker.hpp"
 #include "core/pim_fifo_queue.hpp"
 #include "core/pim_linked_list.hpp"
 #include "core/pim_skiplist.hpp"
@@ -33,10 +35,9 @@ namespace pimds {
 namespace {
 
 // TSan slows the recording runs by an order of magnitude AND lengthens the
-// genuinely-concurrent windows the WGL search must permute (a queue history
-// cannot partition, so its cost grows quickly with overlap). Shrink the
-// workloads so the sanitizer CI leg finishes; schedule diversity, not
-// volume, is what the TSan runs add.
+// genuinely-concurrent windows of the set histories, whose per-key WGL
+// search permutes them. Shrink the workloads so the sanitizer CI leg
+// finishes; schedule diversity, not volume, is what the TSan runs add.
 #if defined(__SANITIZE_THREAD__)
 #define PIMDS_TSAN_BUILD 1
 #elif defined(__has_feature)
@@ -48,7 +49,7 @@ namespace {
 constexpr std::uint64_t kQueuePerProducer = 300;
 constexpr std::uint64_t kSetOpsPerThread = 400;
 #else
-constexpr std::uint64_t kQueuePerProducer = 1500;
+constexpr std::uint64_t kQueuePerProducer = 2500;
 constexpr std::uint64_t kSetOpsPerThread = 1200;
 #endif
 
@@ -72,8 +73,9 @@ check::History history_of(std::vector<check::Event> events) {
 }
 
 // ---------------------------------------------------------------------------
-// QueueSpec on hand-built histories. These mirror the FifoChecker unit tests
-// (tests/test_fifo_checker.cpp) so the two checkers are visibly aligned.
+// The queue checker (check_queue_history, an O(n log n) sweep) on
+// hand-built histories, then cross-validated against the WGL search over
+// QueueSpec on many small random ones.
 // ---------------------------------------------------------------------------
 
 TEST(QueueSpecCheck, AcceptsSequentialFifoHistory) {
@@ -167,36 +169,140 @@ TEST(QueueSpecCheck, InitialStateExpressesPrefilledQueue) {
       << "pre-filled values must come out in order";
 }
 
-TEST(QueueSpecCheck, LostValueIsLinearizableButFailsFifoCheckerDrained) {
-  // A value enqueued and never dequeued IS linearizable — "the history just
-  // ended" is a legal explanation. FifoChecker's drained=true mode checks a
-  // STRONGER property (completeness after a full drain) that only makes
-  // sense with its out-of-band knowledge that the queue was emptied. This
-  // is the one deliberate semantic difference between the two checkers.
-  const auto r = check::check_queue_history(history_of({
+TEST(QueueSpecCheck, LostValueBeforeAFinalEmptyIsNotLinearizable) {
+  // A value enqueued and never dequeued IS linearizable on its own: "the
+  // history just ended" is a legal explanation.
+  const auto open = check::check_queue_history(history_of({
       ev(check::kEnq, 7, check::kRetTrue, 0, 1),
   }));
-  EXPECT_TRUE(r.ok()) << r.error;
+  EXPECT_TRUE(open.ok()) << open.error;
 
-  std::vector<FifoChecker::ThreadLog> logs(1);
-  logs[0].record_enqueue_begin(7);
-  logs[0].record_enqueue_end();
-  EXPECT_FALSE(FifoChecker::check(logs, /*drained=*/true).ok);
-  EXPECT_TRUE(FifoChecker::check(logs, /*drained=*/false).ok);
+  // A recorded final empty dequeue (the end of a drain) closes that door:
+  // the value had to be in the queue when the drain saw it empty.
+  const auto drained = check::check_queue_history(history_of({
+      ev(check::kEnq, 7, check::kRetTrue, 0, 1),
+      ev(check::kDeq, 0, check::kRetEmpty, 2, 3),
+  }));
+  EXPECT_EQ(drained.verdict, check::Verdict::kNotLinearizable);
+  EXPECT_NE(drained.error.find("never dequeued"), std::string::npos)
+      << drained.error;
+}
+
+TEST(QueueSpecCheck, DuplicateEnqueuedValueThrows) {
+  EXPECT_THROW(check::check_queue_history(history_of({
+                   ev(check::kEnq, 7, check::kRetTrue, 0, 1),
+                   ev(check::kEnq, 7, check::kRetTrue, 2, 3),
+               })),
+               std::invalid_argument);
+  check::QueueSpec::State initial;
+  initial.items = {7};
+  EXPECT_THROW(check::check_queue_history(
+                   history_of({ev(check::kEnq, 7, check::kRetTrue, 0, 1)}),
+                   initial),
+               std::invalid_argument);
 }
 
 TEST(QueueSpecCheck, TinyBudgetReportsLimitReachedNotAVerdict) {
   check::CheckOptions opts;
   opts.max_explored = 1;
-  const auto r = check::check_queue_history(history_of({
-                                                ev(check::kEnq, 1, 1, 0, 1),
-                                                ev(check::kEnq, 2, 1, 2, 3),
-                                                ev(check::kDeq, 0, 1, 4, 5),
-                                                ev(check::kDeq, 0, 2, 6, 7),
-                                            }),
-                                            {}, opts);
+  const auto r = check::check_history<check::QueueSpec>(
+      history_of({
+          ev(check::kEnq, 1, 1, 0, 1),
+          ev(check::kEnq, 2, 1, 2, 3),
+          ev(check::kDeq, 0, 1, 4, 5),
+          ev(check::kDeq, 0, 2, 6, 7),
+      }),
+      {}, opts);
   EXPECT_EQ(r.verdict, check::Verdict::kLimitReached);
   EXPECT_FALSE(r.ok());
+}
+
+/// A small random queue history over values 1.., with a pre-filled prefix
+/// (values 100..): a sequential queue run at a random point inside each
+/// op's interval, then mutated (swapped, emptied or invented results,
+/// shifted intervals). Short time spans make tied timestamps common.
+check::History random_queue_history(std::mt19937_64& rng,
+                                    check::QueueSpec::State& initial) {
+  initial.items.clear();
+  for (std::uint64_t i = 0, k = rng() % 3; i < k; ++i) {
+    initial.items.push_back(100 + i);
+  }
+  const std::size_t n = 1 + rng() % 10;
+  const std::uint64_t span = 4 + rng() % 30;
+  std::vector<check::Event> events(n);
+  std::vector<std::uint64_t> point(n);
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t begin = rng() % span;
+    const std::uint64_t len = rng() % 8;
+    point[i] = begin + rng() % (len + 1);
+    events[i] = ev(rng() % 2 == 0 ? check::kEnq : check::kDeq, 0, 0, begin,
+                   begin + len);
+    order[i] = i;
+  }
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return point[a] < point[b]; });
+  std::deque<std::uint64_t> queue(initial.items.begin(), initial.items.end());
+  std::uint64_t next = 1;
+  for (const std::size_t i : order) {
+    check::Event& e = events[i];
+    if (e.op == check::kEnq) {
+      e.arg = next++;
+      e.ret = check::kRetTrue;
+      queue.push_back(e.arg);
+    } else if (queue.empty()) {
+      e.ret = check::kRetEmpty;
+    } else {
+      e.ret = queue.front();
+      queue.pop_front();
+    }
+  }
+  for (std::uint64_t m = 0, k = rng() % 4; m < k; ++m) {
+    check::Event& e = events[rng() % n];
+    check::Event& other = events[rng() % n];
+    const std::uint64_t shift = rng() % 4;
+    switch (rng() % 5) {
+      case 0:
+        if (e.op == check::kDeq && other.op == check::kDeq) {
+          std::swap(e.ret, other.ret);
+        }
+        break;
+      case 1:
+        if (e.op == check::kDeq) e.ret = check::kRetEmpty;
+        break;
+      case 2:
+        if (e.op == check::kDeq) e.ret = 1 + rng() % (next + 1);
+        break;
+      case 3:
+        e.begin += shift;
+        e.end += shift + rng() % 3;
+        break;
+      default:
+        e.begin -= std::min(e.begin, shift);
+        break;
+    }
+  }
+  return history_of(std::move(events));
+}
+
+TEST(QueueSpecCheck, SweepAgreesWithTheSearchOnRandomHistories) {
+  std::mt19937_64 rng(0x9e3779b97f4a7c15ULL);
+  std::uint64_t linearizable = 0;
+  constexpr std::uint64_t kHistories = 25'000;
+  for (std::uint64_t i = 0; i < kHistories; ++i) {
+    check::QueueSpec::State initial;
+    const check::History h = random_queue_history(rng, initial);
+    const auto search = check::check_history<check::QueueSpec>(h, initial);
+    ASSERT_NE(search.verdict, check::Verdict::kLimitReached);
+    const auto sweep = check::check_queue_history(h, initial);
+    ASSERT_EQ(sweep.verdict, search.verdict)
+        << "history #" << i << ": sweep says \"" << sweep.error
+        << "\", search says \"" << search.error << "\"";
+    linearizable += search.ok();
+  }
+  // Both verdicts must be well represented for the agreement to mean much.
+  EXPECT_GT(linearizable, kHistories / 4);
+  EXPECT_LT(linearizable, kHistories * 9 / 10);
 }
 
 // ---------------------------------------------------------------------------
@@ -266,13 +372,16 @@ TEST(MapSpecCheck, LastWriterWinsReadsAndErase) {
 // ---------------------------------------------------------------------------
 // Real-thread harnesses: record check/ histories from every queue and set
 // in the library, then check them. Values are tagged per producer so every
-// enqueued value is unique (QueueSpec matches dequeues by value).
+// enqueued value is unique, as the queue checker requires.
 // ---------------------------------------------------------------------------
 
+/// Producers and consumers run concurrently; once they are done a single
+/// thread drains the queue and records the final empty dequeue, so a value
+/// the queue lost is a violation as well as one it reordered.
 template <typename Queue>
 check::History record_queue_run(Queue& queue, int producers, int consumers,
                                 std::uint64_t per_producer) {
-  check::HistoryRecorder recorder(producers + consumers);
+  check::HistoryRecorder recorder(producers + consumers + 1);
   std::atomic<int> producers_done{0};
   std::vector<std::thread> threads;
   for (int p = 0; p < producers; ++p) {
@@ -313,6 +422,13 @@ check::History record_queue_run(Queue& queue, int producers, int consumers,
     });
   }
   for (auto& t : threads) t.join();
+  check::ThreadLog& drain = recorder.log(producers + consumers);
+  for (;;) {
+    drain.begin(check::kDeq, 0);
+    const auto v = queue.dequeue();
+    drain.end(v.value_or(check::kRetEmpty));
+    if (!v) break;
+  }
   return recorder.collect();
 }
 
@@ -339,6 +455,21 @@ TEST(CheckedQueueHistories, PimFifoQueueIsLinearizable) {
   config.num_vaults = 4;
   runtime::PimSystem system(config);
   core::PimFifoQueue queue(system, {{128}});
+  system.start();
+  const auto r =
+      check::check_queue_history(record_queue_run(queue, 2, 2, kQueuePerProducer));
+  system.stop();
+  EXPECT_TRUE(r.ok()) << r.error;
+}
+
+TEST(CheckedQueueHistories, PimFifoQueueWithFatNodesIsLinearizable) {
+  runtime::PimSystem::Config config;
+  config.num_vaults = 4;
+  runtime::PimSystem system(config);
+  core::PimFifoQueue::Options options;
+  options.segment_threshold = 128;
+  options.enqueue_combining = true;
+  core::PimFifoQueue queue(system, options);
   system.start();
   const auto r =
       check::check_queue_history(record_queue_run(queue, 2, 2, kQueuePerProducer));
@@ -509,10 +640,6 @@ TEST(CheckedSimHistories, FaaQueueRunIsLinearizable) {
 }
 
 TEST(CheckedSimHistories, MsQueueRunIsLinearizable) {
-  // Kept deliberately small: the CAS retry loop under contention stretches
-  // each operation's real-time window across many neighbors, which is
-  // exactly the worst case for the DFS. Low contention keeps it cheap while
-  // still covering the ms-queue recording path.
   sim::QueueConfig cfg;
   const test::SimSeed seed(cfg.seed);
   cfg.seed = seed;

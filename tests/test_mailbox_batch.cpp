@@ -139,17 +139,6 @@ TEST(MailboxDrain, DrainAllIgnoresDeliveryTimes) {
   EXPECT_TRUE(box.empty());
 }
 
-TEST(MailboxDrain, PollReadyIsNonBlocking) {
-  ScopedInjection inject(/*pim_ns=*/1'000'000.0);
-  Mailbox box(64);
-  box.send(Message{});
-  const std::uint64_t before = now_ns();
-  EXPECT_FALSE(box.poll_ready().has_value());
-  EXPECT_LT(now_ns() - before, 1'000'000u) << "poll_ready blocked";
-  while (!box.poll_ready().has_value()) cpu_relax();
-  EXPECT_TRUE(box.empty());
-}
-
 TEST(MailboxSend, CountsBackoffOnFullRing) {
   Mailbox box(2);  // tiny ring
   std::thread sender([&] {

@@ -2,7 +2,8 @@
 // through a recording fake port: every send, charge, reply, stall and trace
 // the handlers make is asserted exactly, with no runtime or simulator
 // underneath. Then the runtime binding on real threads with the protocol's
-// mutation faults switched on, which the FIFO checker must flag.
+// mutation faults switched on, which the queue linearizability checker must
+// flag.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +13,8 @@
 #include <thread>
 #include <vector>
 
-#include "common/fifo_checker.hpp"
+#include "check/history.hpp"
+#include "check/linearizability.hpp"
 #include "core/pim_fifo_queue.hpp"
 #include "core/queue_protocol.hpp"
 
@@ -211,8 +213,9 @@ TEST_F(QueueProtocolTest, StaleRoleRequestsAreRejected) {
 /// The runtime queue on real threads with a protocol fault: two producers
 /// fill the queue through small segments, then two consumers drain it. The
 /// fill completes first so every segment is full when it takes the dequeue
-/// role, and each kHandoffReorder reversal is visible.
-FifoChecker::Result run_runtime_queue(QueueFault fault) {
+/// role, and each kHandoffReorder reversal is visible. The final drain
+/// records its empty dequeue, so a lost value is a violation too.
+check::CheckResult run_runtime_queue(QueueFault fault) {
   runtime::PimSystem::Config config;
   config.num_vaults = 2;
   runtime::PimSystem system(config);
@@ -224,15 +227,16 @@ FifoChecker::Result run_runtime_queue(QueueFault fault) {
   constexpr int kProducers = 2;
   constexpr int kConsumers = 2;
   constexpr std::uint64_t kPerProducer = 1000;
-  std::vector<FifoChecker::ThreadLog> logs(kProducers + kConsumers);
+  check::HistoryRecorder recorder(kProducers + kConsumers);
   std::vector<std::thread> threads;
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
+      check::ThreadLog& log = recorder.log(p);
       for (std::uint64_t i = 0; i < kPerProducer; ++i) {
         const std::uint64_t value = (static_cast<std::uint64_t>(p) << 32) | i;
-        logs[p].record_enqueue_begin(value);
+        log.begin(check::kEnq, value);
         queue.enqueue(value);
-        logs[p].record_enqueue_end();
+        log.end(check::kRetTrue);
       }
     });
   }
@@ -242,32 +246,44 @@ FifoChecker::Result run_runtime_queue(QueueFault fault) {
   std::atomic<std::int64_t> remaining{kProducers * kPerProducer};
   for (int c = 0; c < kConsumers; ++c) {
     threads.emplace_back([&, c] {
+      check::ThreadLog& log = recorder.log(kProducers + c);
       while (remaining.load() > 0) {
+        log.begin(check::kDeq, 0);
         if (const auto v = queue.dequeue()) {
-          logs[kProducers + c].record_dequeue(*v);
+          log.end(*v);
           remaining.fetch_sub(1);
+        } else {
+          log.abandon();
         }
       }
     });
   }
   for (auto& t : threads) t.join();
   // A re-served value leaves another one behind: drain it.
-  while (const auto v = queue.dequeue()) logs[kProducers].record_dequeue(*v);
+  check::ThreadLog& drain = recorder.log(kProducers);
+  for (;;) {
+    drain.begin(check::kDeq, 0);
+    const auto v = queue.dequeue();
+    drain.end(v.value_or(check::kRetEmpty));
+    if (!v) break;
+  }
   system.stop();
-  return FifoChecker::check(logs, /*drained=*/true);
+  return check::check_queue_history(recorder.collect());
 }
 
 TEST(RuntimeQueueFaults, CorrectProtocolPassesTheChecker) {
-  const FifoChecker::Result r = run_runtime_queue(QueueFault::kNone);
-  EXPECT_TRUE(r.ok) << r.error;
+  const check::CheckResult r = run_runtime_queue(QueueFault::kNone);
+  EXPECT_TRUE(r.ok()) << r.error;
 }
 
 TEST(RuntimeQueueFaults, DoubleServeIsFlagged) {
-  EXPECT_FALSE(run_runtime_queue(QueueFault::kDoubleServe).ok);
+  EXPECT_EQ(run_runtime_queue(QueueFault::kDoubleServe).verdict,
+            check::Verdict::kNotLinearizable);
 }
 
 TEST(RuntimeQueueFaults, HandoffReorderIsFlagged) {
-  EXPECT_FALSE(run_runtime_queue(QueueFault::kHandoffReorder).ok);
+  EXPECT_EQ(run_runtime_queue(QueueFault::kHandoffReorder).verdict,
+            check::Verdict::kNotLinearizable);
 }
 
 }  // namespace

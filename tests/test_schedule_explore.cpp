@@ -22,14 +22,9 @@ namespace {
 ///
 /// Dequeue-only against a large pre-fill, for the same reason as the
 /// mutation smoke tests: the sweep's job is the segment HAND-OFF protocol
-/// (the newDeqSeg rotation, which small segments trigger constantly), and a
-/// dequeue-only history keeps the checker cheap under every perturbation —
-/// with a fixed pre-fill the abstract state after k pops is unique no
-/// matter which dequeuer did them, so verification and refutation both
-/// collapse under memoization. Concurrent enqueues under perturbed
-/// schedules make even PASSING histories exponentially expensive to verify
-/// (every interleaving is a distinct queue state); mixed-workload checking
-/// is covered at low contention in test_linearizability.cpp.
+/// (the newDeqSeg rotation, which small segments trigger constantly), and
+/// both queue faults corrupt the serve side, which dequeuers alone
+/// exercise. Mixed-workload checking is covered in test_linearizability.cpp.
 check::Trial queue_trial(sim::QueueFault fault) {
   return [fault](std::uint64_t seed,
                  const sim::Engine::Perturbation& perturb) -> std::string {

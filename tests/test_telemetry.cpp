@@ -117,7 +117,9 @@ TEST(Sampler, EmitsValidJsonlAndMetersItself) {
     const auto at = line.find("\"seq\":");
     ASSERT_NE(at, std::string::npos);
     const std::uint64_t seq = std::strtoull(line.c_str() + at + 6, nullptr, 10);
-    if (!first) EXPECT_GT(seq, prev_seq);
+    if (!first) {
+      EXPECT_GT(seq, prev_seq);
+    }
     first = false;
     prev_seq = seq;
     const auto cat = line.find("\"test_tel.sampler_c\":");
