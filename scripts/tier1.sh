@@ -112,8 +112,10 @@ echo "== tier-1: -DPIMDS_OBS=OFF configuration =="
 # asserts (FatEntry must drop to 32 bytes and Message to 112 with the
 # per-op trace context compiled out); the filtered run plus a bench smoke
 # checks the disabled mode end to end. The full test_obs suite is NOT expected to
-# pass here — most of it tests the very layer this build removes.
-cmake -B build-noobs -S . -DPIMDS_OBS=OFF > /dev/null
+# pass here — most of it tests the very layer this build removes. -Werror
+# keeps code that only the enabled layer uses (an unused variable, say) from
+# warning silently in this build.
+cmake -B build-noobs -S . -DPIMDS_OBS=OFF -DPIMDS_WERROR=ON > /dev/null
 cmake --build build-noobs -j --target test_obs ablation_batch_drain
 ./build-noobs/tests/test_obs --gtest_filter='Message.*:DisabledMode.*'
 ./build-noobs/bench/ablation_batch_drain --threads 4 --ops 40 > /dev/null

@@ -67,8 +67,8 @@ FcSkipList::FcSkipList(std::uint64_t key_range, std::size_t partitions)
   for (std::size_t i = 0; i < partitions; ++i) {
     Partition p;
     // Sentinel at the partition's lower bound minus one (keys start at 1).
-    p.list = std::make_unique<SeqSkipList>(i * key_range / partitions,
-                                           0x5eedULL + i);
+    p.list = std::make_unique<core::HeapSkipList>(
+        core::heap_arena, i * key_range / partitions, 0x5eedULL + i);
     p.fc = std::make_unique<FlatCombiner<SetRequest, bool>>();
     parts_.push_back(std::move(p));
   }
@@ -87,17 +87,19 @@ bool FcSkipList::execute(SetRequest req) {
     // No combining for skip-lists: distant keys share no traversal prefix
     // (Section 4.2), so the combiner executes requests one by one.
     for (auto* rec : batch) {
+      std::uint64_t steps = 0;
       switch (rec->req.op) {
         case SetRequest::Op::kAdd:
-          rec->res = part.list->add(rec->req.key);
+          rec->res = part.list->add(rec->req.key, &steps);
           break;
         case SetRequest::Op::kRemove:
-          rec->res = part.list->remove(rec->req.key);
+          rec->res = part.list->remove(rec->req.key, &steps);
           break;
         case SetRequest::Op::kContains:
-          rec->res = part.list->contains(rec->req.key);
+          rec->res = part.list->contains(rec->req.key, &steps);
           break;
       }
+      for (; steps > 0; --steps) charge_cpu_access();
     }
   });
 }

@@ -13,6 +13,7 @@
 
 #include "baselines/flat_combining.hpp"
 #include "baselines/seq_structures.hpp"
+#include "core/local_skiplist.hpp"
 
 namespace pimds::baselines {
 
@@ -60,7 +61,7 @@ class FcSkipList {
 
  private:
   struct Partition {
-    std::unique_ptr<SeqSkipList> list;
+    std::unique_ptr<core::HeapSkipList> list;
     std::unique_ptr<FlatCombiner<SetRequest, bool>> fc;
   };
 

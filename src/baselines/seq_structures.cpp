@@ -40,84 +40,4 @@ bool SeqList::contains(std::uint64_t key) const {
   return contains_from(nullptr, key);
 }
 
-SeqSkipList::SeqSkipList(std::uint64_t sentinel_key, std::uint64_t seed)
-    : rng_(seed) {
-  head_ = make_node(sentinel_key, kMaxHeight);
-  for (int lvl = 0; lvl < kMaxHeight; ++lvl) head_->next[lvl] = nullptr;
-}
-
-SeqSkipList::~SeqSkipList() {
-  Node* n = head_;
-  while (n != nullptr) {
-    Node* next = n->next[0];
-    operator delete(n);
-    n = next;
-  }
-}
-
-SeqSkipList::Node* SeqSkipList::make_node(std::uint64_t key, int height) {
-  const std::size_t bytes =
-      offsetof(Node, next) + static_cast<std::size_t>(height) * sizeof(Node*);
-  auto* node = static_cast<Node*>(operator new(bytes));
-  node->key = key;
-  node->height = height;
-  return node;
-}
-
-SeqSkipList::Node* SeqSkipList::locate(std::uint64_t key,
-                                       Node** preds) const {
-  Node* pred = head_;
-  int top = kMaxHeight - 1;
-  while (top > 0 && head_->next[top] == nullptr) --top;
-  for (int lvl = top; lvl >= 0; --lvl) {
-    Node* curr = pred->next[lvl];
-    charge_cpu_access();
-    while (curr != nullptr && curr->key < key) {
-      charge_cpu_access();
-      pred = curr;
-      curr = curr->next[lvl];
-    }
-    preds[lvl] = pred;
-  }
-  return preds[0]->next[0];
-}
-
-bool SeqSkipList::add(std::uint64_t key) {
-  assert(key > head_->key);
-  Node* preds[kMaxHeight];
-  for (auto& p : preds) p = head_;
-  Node* found = locate(key, preds);
-  if (found != nullptr && found->key == key) return false;
-  int height = 1;
-  while (height < kMaxHeight && rng_.next_bool(0.5)) ++height;
-  Node* node = make_node(key, height);
-  for (int lvl = 0; lvl < height; ++lvl) {
-    node->next[lvl] = preds[lvl]->next[lvl];
-    preds[lvl]->next[lvl] = node;
-  }
-  ++size_;
-  return true;
-}
-
-bool SeqSkipList::remove(std::uint64_t key) {
-  Node* preds[kMaxHeight];
-  for (auto& p : preds) p = head_;
-  Node* found = locate(key, preds);
-  if (found == nullptr || found->key != key) return false;
-  for (int lvl = 0; lvl < found->height; ++lvl) {
-    if (preds[lvl]->next[lvl] == found) {
-      preds[lvl]->next[lvl] = found->next[lvl];
-    }
-  }
-  operator delete(found);
-  --size_;
-  return true;
-}
-
-bool SeqSkipList::contains(std::uint64_t key) const {
-  Node* preds[kMaxHeight];
-  Node* found = locate(key, preds);
-  return found != nullptr && found->key == key;
-}
-
 }  // namespace pimds::baselines

@@ -1,6 +1,7 @@
-// Plain sequential structures wrapped by the flat-combining baselines.
+// The plain sequential list wrapped by the flat-combining list baseline.
 // Latency hooks charge one CPU DRAM access per node hop when injection is
-// enabled (the combiner is an ordinary CPU thread).
+// enabled (the combiner is an ordinary CPU thread). The flat-combining skip
+// list wraps core::HeapSkipList, the vault store on the heap.
 #pragma once
 
 #include <cstdint>
@@ -8,7 +9,6 @@
 #include <optional>
 
 #include "common/latency.hpp"
-#include "common/rng.hpp"
 
 namespace pimds::baselines {
 
@@ -70,39 +70,6 @@ class SeqList {
 
   Node* head_;
   std::size_t size_ = 0;
-};
-
-/// Sequential skip-list (heap-allocated twin of core::LocalSkipList).
-class SeqSkipList {
- public:
-  static constexpr int kMaxHeight = 16;
-
-  explicit SeqSkipList(std::uint64_t sentinel_key = 0,
-                       std::uint64_t seed = 0x5eed);
-  ~SeqSkipList();
-
-  SeqSkipList(const SeqSkipList&) = delete;
-  SeqSkipList& operator=(const SeqSkipList&) = delete;
-
-  bool add(std::uint64_t key);
-  bool remove(std::uint64_t key);
-  bool contains(std::uint64_t key) const;
-
-  std::size_t size() const noexcept { return size_; }
-
- private:
-  struct Node {
-    std::uint64_t key;
-    std::int32_t height;
-    Node* next[1];
-  };
-
-  Node* make_node(std::uint64_t key, int height);
-  Node* locate(std::uint64_t key, Node** preds) const;
-
-  Node* head_;
-  std::size_t size_ = 0;
-  Xoshiro256 rng_;
 };
 
 }  // namespace pimds::baselines

@@ -2,7 +2,7 @@
 //
 // beta is the average number of nodes an operation accesses to locate its
 // key (Theta(log N)). The paper leaves beta abstract; callers either supply
-// a measured value (SimSkipList::observed_beta) or use estimate_beta().
+// a measured value (sim::BetaCounter::observed_beta) or use estimate_beta().
 #pragma once
 
 #include <cstddef>

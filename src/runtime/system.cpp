@@ -175,7 +175,9 @@ void PimSystem::dispatch(PimCoreApi& api, Core& core, const Message* msgs,
         injector.enabled()
             ? static_cast<std::uint64_t>(injector.params().message())
             : 0;
+#ifndef PIMDS_OBS_DISABLED
     const bool tracing = obs::trace_enabled();
+#endif
     for (std::size_t i = 0; i < n; ++i) {
       const Message& m = msgs[i];
       const std::uint64_t wait =

@@ -15,20 +15,21 @@ RunResult run_fc_skiplist(const SkipListConfig& cfg, std::size_t partitions) {
 
   // k independent flat-combining skip-lists, one combiner per partition
   // (Section 4.2: "k combiners are in charge of k partitions").
-  std::vector<std::unique_ptr<SimSkipList>> lists;
+  std::vector<std::unique_ptr<core::HeapSkipList>> lists;
   using Combiner = SimFlatCombiner<std::pair<SetOp, std::uint64_t>, bool>;
   std::vector<std::unique_ptr<Combiner>> combiners;
   for (std::size_t i = 0; i < partitions; ++i) {
-    lists.push_back(std::make_unique<SimSkipList>(
-        partition_sentinel(i, cfg.key_range, partitions)));
+    lists.push_back(std::make_unique<core::HeapSkipList>(
+        core::heap_arena, partition_sentinel(i, cfg.key_range, partitions)));
     combiners.push_back(std::make_unique<Combiner>());
   }
   Xoshiro256 setup(cfg.seed ^ 0x5eedULL);
   std::size_t total_size = 0;
   while (total_size < cfg.initial_size) {
     const std::uint64_t key = setup.next_in(1, cfg.key_range);
-    SimSkipList& part = *lists[partition_of(key, cfg.key_range, partitions)];
-    if (part.insert_for_setup(setup, key)) {
+    core::HeapSkipList& part =
+        *lists[partition_of(key, cfg.key_range, partitions)];
+    if (part.add(key, setup)) {
       record_setup_add(cfg.recorder, key);
       ++total_size;
     }
@@ -44,7 +45,7 @@ RunResult run_fc_skiplist(const SkipListConfig& cfg, std::size_t partitions) {
         const SetOp op = pick_op(ctx.rng(), cfg.mix);
         const std::uint64_t key = ctx.rng().next_in(1, cfg.key_range);
         const std::size_t p = partition_of(key, cfg.key_range, partitions);
-        SimSkipList& list = *lists[p];
+        core::HeapSkipList& list = *lists[p];
         if (log != nullptr) log->begin(check_op(op), key, ctx.now());
         // No combining optimization for skip-lists (Section 4.2: distant
         // keys share no traversal prefix); the combiner executes requests
@@ -53,9 +54,9 @@ RunResult run_fc_skiplist(const SkipListConfig& cfg, std::size_t partitions) {
             ctx, {op, key},
             [&list](Context& cctx, std::vector<Combiner::Pending>& batch) {
               for (auto& pending : batch) {
-                const bool res =
-                    list.execute(cctx, pending.request.first,
-                                 pending.request.second, MemClass::kCpuDram);
+                const bool res = execute_set_op(
+                    cctx, list, pending.request.first, pending.request.second,
+                    MemClass::kCpuDram);
                 pending.slot->set(cctx, res);
               }
             });

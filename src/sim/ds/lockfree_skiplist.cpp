@@ -8,9 +8,11 @@ namespace pimds::sim {
 RunResult run_lockfree_skiplist(const SkipListConfig& cfg) {
   Engine engine(cfg.params, cfg.seed);
   engine.set_perturbation(cfg.perturb);
-  SimSkipList list(0);
+  core::HeapSkipList list(core::heap_arena, 0);
   Xoshiro256 setup(cfg.seed ^ 0x5eedULL);
-  list.populate(setup, cfg.initial_size, 1, cfg.key_range);
+  while (list.size() < cfg.initial_size) {
+    list.add(setup.next_in(1, cfg.key_range), setup);
+  }
   record_setup_contents(cfg.recorder, list.keys());
 
   std::uint64_t total_ops = 0;
@@ -24,7 +26,8 @@ RunResult run_lockfree_skiplist(const SkipListConfig& cfg) {
         const std::uint64_t key = ctx.rng().next_in(1, cfg.key_range);
         if (log != nullptr) log->begin(check_op(op), key, ctx.now());
         ctx.sync();
-        const bool effect = list.execute(ctx, op, key, MemClass::kCpuDram);
+        const bool effect =
+            execute_set_op(ctx, list, op, key, MemClass::kCpuDram);
         if (log != nullptr) {
           log->end(effect ? check::kRetTrue : check::kRetFalse, ctx.now());
         }

@@ -33,19 +33,20 @@ RunResult run_pim_skiplist(const SkipListConfig& cfg, std::size_t partitions) {
   engine.set_perturbation(cfg.perturb);
 
   // One vault (skip-list partition + mailbox + PIM core) per key range.
-  std::vector<std::unique_ptr<SimSkipList>> lists;
+  std::vector<std::unique_ptr<core::HeapSkipList>> lists;
   std::vector<std::unique_ptr<Mailbox<SkipMsg>>> inboxes;
   for (std::size_t i = 0; i < partitions; ++i) {
-    lists.push_back(std::make_unique<SimSkipList>(
-        partition_sentinel(i, cfg.key_range, partitions)));
+    lists.push_back(std::make_unique<core::HeapSkipList>(
+        core::heap_arena, partition_sentinel(i, cfg.key_range, partitions)));
     inboxes.push_back(std::make_unique<Mailbox<SkipMsg>>());
   }
   Xoshiro256 setup(cfg.seed ^ 0x5eedULL);
   std::size_t total_size = 0;
   while (total_size < cfg.initial_size) {
     const std::uint64_t key = setup.next_in(1, cfg.key_range);
-    SimSkipList& part = *lists[partition_of(key, cfg.key_range, partitions)];
-    if (part.insert_for_setup(setup, key)) {
+    core::HeapSkipList& part =
+        *lists[partition_of(key, cfg.key_range, partitions)];
+    if (part.add(key, setup)) {
       record_setup_add(cfg.recorder, key);
       ++total_size;
     }
@@ -63,7 +64,7 @@ RunResult run_pim_skiplist(const SkipListConfig& cfg, std::size_t partitions) {
   }
   for (std::size_t v = 0; v < partitions; ++v) {
     engine.spawn("pim-core" + std::to_string(v), [&, v](Context& ctx) {
-      SimSkipList& list = *lists[v];
+      core::HeapSkipList& list = *lists[v];
       Mailbox<SkipMsg>& inbox = *inboxes[v];
       std::size_t stopped = 0;
       while (stopped < cfg.num_cpus) {
@@ -91,7 +92,8 @@ RunResult run_pim_skiplist(const SkipListConfig& cfg, std::size_t partitions) {
           }
         }
         part_ops[v]->add(1);
-        const bool r = list.execute(ctx, m.op, m.key, MemClass::kPimLocal);
+        const bool r =
+            execute_set_op(ctx, list, m.op, m.key, MemClass::kPimLocal);
         // Asynchronous response (pipelining): the core serves the next
         // request while the reply is in flight.
         m.reply->set(ctx, r, msg_ns);

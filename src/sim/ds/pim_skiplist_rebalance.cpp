@@ -47,8 +47,8 @@ struct Msg {
 /// The vault-local half: the list (global-minimum sentinel, as migrations
 /// may hand any vault any range) and the target's ascending-insert fingers.
 struct SimVault {
-  std::unique_ptr<SimSkipList> list = std::make_unique<SimSkipList>(0);
-  SimSkipList::InsertCursor incoming_cursor;
+  core::HeapSkipList list{core::heap_arena, 0};
+  core::HeapSkipList::InsertCursor incoming_cursor;
 };
 
 /// Deterministic in-sim load accounting for the kActiveLoadMap policy: a
@@ -114,21 +114,26 @@ struct SimPort {
   std::size_t vault_id() const noexcept { return v; }
   bool execute(const Msg& m) {
     load->record(v, m.key);
-    const bool r = vault->list->execute(*ctx, m.op, m.key, MemClass::kPimLocal);
+    const bool r =
+        execute_set_op(*ctx, vault->list, m.op, m.key, MemClass::kPimLocal);
     if (r && m.op == SetOp::kAdd) ++*net_adds;
     if (r && m.op == SetOp::kRemove) --*net_adds;
     return r;
   }
   std::optional<std::uint64_t> first_at_least(std::uint64_t key) const {
-    return vault->list->first_at_least(key);
+    return vault->list.first_at_least(key);
   }
   void extract(std::uint64_t cursor) {
-    vault->list->extract_first_at_least(*ctx, cursor, MemClass::kPimLocal);
+    std::uint64_t steps = 0;
+    vault->list.extract_first_at_least(cursor, &steps);
+    ctx->charge(MemClass::kPimLocal, steps);
   }
   void begin_incoming() { vault->incoming_cursor = {}; }
   void insert_migrated(std::uint64_t key) {
-    vault->list->insert_ascending(*ctx, vault->incoming_cursor, key,
-                                  MemClass::kPimLocal);
+    std::uint64_t steps = 0;
+    vault->list.insert_ascending(vault->incoming_cursor, key, ctx->rng(),
+                                 &steps);
+    ctx->charge(MemClass::kPimLocal, steps);
   }
   void send(std::size_t core, const MigMsg& mm) {
     (*inboxes)[core].send(*ctx, Msg{.kind = Msg::Kind::kMig, .mig = mm.kind,
@@ -166,7 +171,7 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
     std::size_t total = 0;
     while (total < cfg.initial_size) {
       const std::uint64_t key = setup.next_in(1, cfg.key_range);
-      if (vaults[dir.route(key)].list->insert_for_setup(setup, key)) {
+      if (vaults[dir.route(key)].list.add(key, setup)) {
         record_setup_add(cfg.recorder, key);
         ++total;
       }
@@ -439,7 +444,7 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
   result.deferred = protocol.count(core::kDeferred);
   std::int64_t final_size = 0;
   for (const SimVault& vault : vaults) {
-    final_size += static_cast<std::int64_t>(vault.list->size());
+    final_size += static_cast<std::int64_t>(vault.list.size());
   }
   result.size_consistent =
       final_size == static_cast<std::int64_t>(cfg.initial_size) + net_adds;

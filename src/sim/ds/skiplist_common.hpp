@@ -1,116 +1,58 @@
-// Shared skip-list used by the simulated skip-list experiments (Section 4.2).
-//
-// A real skip-list (geometric tower heights, multi-level search) so that the
-// per-operation access count beta = Theta(log N) emerges from the structure
-// itself rather than being assumed. Latency is charged per node step during
-// search, at the class of whoever executes (CPU or PIM core).
+// The simulated skip-list experiments (Section 4.2) run the sequential
+// store a PIM core runs in its vault (core/local_skiplist.hpp), on the
+// heap, so beta = Theta(log N) emerges from the structure itself rather than
+// being assumed. Latency is charged per node step, at the class of whoever
+// executes (CPU or PIM core).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <vector>
 
 #include "common/latency.hpp"
-#include "common/rng.hpp"
+#include "core/local_skiplist.hpp"
 #include "sim/engine.hpp"
 #include "sim/workload.hpp"
 
 namespace pimds::sim {
 
-class SimSkipList {
- public:
-  static constexpr int kMaxHeight = 24;
+/// Node steps of the operations execute_set_op counted: the paper's beta,
+/// measured (test hook).
+struct BetaCounter {
+  std::uint64_t steps = 0;
+  std::uint64_t searches = 0;
 
-  /// @param sentinel_key  key of the always-present head sentinel; partitioned
-  ///        deployments (Figure 3) give each partition a max-height sentinel
-  ///        at the lower bound of its key range.
-  explicit SimSkipList(std::uint64_t sentinel_key = 0);
-  ~SimSkipList();
-
-  SimSkipList(const SimSkipList&) = delete;
-  SimSkipList& operator=(const SimSkipList&) = delete;
-
-  /// Insert distinct uniform keys from [lo, hi] until `target_size` nodes
-  /// (setup phase: no latency charged).
-  void populate(Xoshiro256& rng, std::size_t target_size, std::uint64_t lo,
-                std::uint64_t hi);
-
-  /// Setup-phase single insert (no latency charged). Returns false if the
-  /// key was already present.
-  bool insert_for_setup(Xoshiro256& rng, std::uint64_t key);
-
-  /// Smallest key >= `key`, if any (migration cursor scans; no charge — the
-  /// caller charges the removal that follows).
-  std::optional<std::uint64_t> first_at_least(std::uint64_t key) const;
-
-  /// Unlink and return the smallest key >= `key` (nullopt if none). Charges
-  /// 2 local accesses: a range migration sweeps the bottom level in
-  /// ascending order while carrying per-level predecessor fingers, so tower
-  /// unlinking amortizes to O(1) accesses per extracted node — unlike an
-  /// independent remove(), which would pay a full beta-step search per key.
-  std::optional<std::uint64_t> extract_first_at_least(Context& ctx,
-                                                      std::uint64_t key,
-                                                      MemClass hop_class);
-
-  /// Finger cursor for ascending bulk inserts (the migration TARGET's dual
-  /// of extract_first_at_least: kMigNode keys arrive in ascending order, so
-  /// per-level predecessor fingers make each insert amortized O(1) instead
-  /// of a full beta-step search). The cursor self-invalidates when any
-  /// other operation mutates the list (e.g. a forwarded op landing mid-
-  /// migration), falling back to one full search to re-seed the fingers.
-  class InsertCursor {
-   public:
-    InsertCursor() = default;
-
-   private:
-    friend class SimSkipList;
-    void* preds_[kMaxHeight] = {};
-    std::uint64_t epoch = 0;
-    bool valid = false;
-  };
-
-  /// Insert `key`, which must be >= every key previously inserted through
-  /// `cursor`. Returns false if already present.
-  bool insert_ascending(Context& ctx, InsertCursor& cursor, std::uint64_t key,
-                        MemClass hop_class);
-
-  /// Execute one operation, charging `hop_class` per node step.
-  bool execute(Context& ctx, SetOp op, std::uint64_t key, MemClass hop_class);
-
-  std::size_t size() const noexcept { return size_; }
-
-  /// Average node steps per search observed since construction (test hook;
-  /// this is the paper's beta).
   double observed_beta() const noexcept {
-    return searches_ == 0
+    return searches == 0
                ? 0.0
-               : static_cast<double>(steps_) / static_cast<double>(searches_);
+               : static_cast<double>(steps) / static_cast<double>(searches);
   }
-
-  std::vector<std::uint64_t> keys() const;
-
- private:
-  struct Node {
-    std::uint64_t key;
-    std::vector<Node*> next;
-  };
-
-  /// Search from the sentinel, filling preds/succs per level and charging
-  /// one `hop_class` access per step. Returns the level-0 successor.
-  Node* locate(Context& ctx, std::uint64_t key, MemClass hop_class,
-               std::vector<Node*>& preds);
-
-  int random_height(Xoshiro256& rng) const;
-  void insert_internal(Xoshiro256& rng, std::uint64_t key);
-
-  Node* head_;
-  std::size_t size_ = 0;
-  std::uint64_t steps_ = 0;
-  std::uint64_t searches_ = 0;
-  /// Bumped by every structural mutation outside insert_ascending, so live
-  /// InsertCursors know their fingers may dangle.
-  std::uint64_t mutation_epoch_ = 0;
 };
+
+/// Execute one set operation, drawing tower heights from the actor's
+/// generator and charging `hop_class` once for all of its node steps: the
+/// paper's beta counts "nodes an operation has to access to find the
+/// location of its key".
+inline bool execute_set_op(Context& ctx, core::HeapSkipList& list, SetOp op,
+                           std::uint64_t key, MemClass hop_class,
+                           BetaCounter* beta = nullptr) {
+  std::uint64_t steps = 0;
+  bool result = false;
+  switch (op) {
+    case SetOp::kAdd:
+      result = list.add(key, ctx.rng(), &steps);
+      break;
+    case SetOp::kRemove:
+      result = list.remove(key, &steps);
+      break;
+    case SetOp::kContains:
+      result = list.contains(key, &steps);
+      break;
+  }
+  ctx.charge(hop_class, steps);
+  if (beta != nullptr) {
+    beta->steps += steps;
+    ++beta->searches;
+  }
+  return result;
+}
 
 }  // namespace pimds::sim

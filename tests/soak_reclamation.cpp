@@ -15,6 +15,11 @@
 // The ctest registration runs a short smoke (--seconds 2 per policy); CI's
 // soak job runs it under ASan/LSan; nightly/manual runs pass larger
 // --seconds. Exit code 0 = all assertions held.
+//
+// A watchdog turns a hang into a diagnosis: once the run outlives its time
+// budget by kGraceSeconds, it prints the phase in progress and each churn
+// thread's op count (a thread stuck in one operation stops counting) and
+// exits with code 3.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -32,6 +37,7 @@
 #include "baselines/lazy_list.hpp"
 #include "baselines/lockfree_skiplist.hpp"
 #include "baselines/ms_queue.hpp"
+#include "common/cacheline.hpp"
 #include "common/reclaim.hpp"
 #include "common/rng.hpp"
 #include "common/timing.hpp"
@@ -42,6 +48,18 @@ using namespace pimds;
 using namespace pimds::baselines;
 
 int g_failures = 0;
+
+constexpr double kGraceSeconds = 30.0;
+
+/// What the watchdog reports: the churn phase in progress and each churn
+/// thread's op count within it.
+struct Progress {
+  std::atomic<const char*> phase{"warm-up"};
+  std::atomic<const char*> policy{""};
+  std::unique_ptr<CachePadded<std::atomic<std::uint64_t>>[]> ops;
+  unsigned threads = 0;
+};
+Progress g_progress;
 
 #define SOAK_CHECK(cond, ...)                          \
   do {                                                 \
@@ -82,6 +100,9 @@ void churn_phase(const char* what, ReclaimPolicy policy, double seconds,
                  unsigned threads, MakeStructure make, Op op) {
   auto structure = make(policy);
   Reclaimer& reclaimer = structure->reclaimer();
+  g_progress.phase.store(what);
+  g_progress.policy.store(to_string(policy));
+  for (unsigned t = 0; t < threads; ++t) g_progress.ops[t].value.store(0);
   std::atomic<bool> stop{false};
   std::atomic<bool> drain{false};
   std::atomic<unsigned> churning{threads};
@@ -93,7 +114,7 @@ void churn_phase(const char* what, ReclaimPolicy policy, double seconds,
       std::uint64_t n = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         op(*structure, rng);
-        ++n;
+        g_progress.ops[t].value.store(++n, std::memory_order_relaxed);
       }
       total_ops.fetch_add(n, std::memory_order_relaxed);
       churning.fetch_sub(1, std::memory_order_release);
@@ -212,6 +233,49 @@ void run_policy(ReclaimPolicy policy, const SoakConfig& cfg) {
       });
 }
 
+/// Runs until stop() or, past `budget_s` + kGraceSeconds, reports the hung
+/// phase and ends the process with exit code 3.
+class Watchdog {
+ public:
+  explicit Watchdog(double budget_s)
+      : thread_([this, budget_s] {
+          const std::uint64_t t0 = now_ns();
+          const double limit = budget_s + kGraceSeconds;
+          while (!done_.load()) {
+            const double elapsed = static_cast<double>(now_ns() - t0) * 1e-9;
+            if (elapsed > limit) report_and_exit(elapsed, budget_s);
+            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+          }
+        }) {}
+  ~Watchdog() { stop(); }
+
+  void stop() {
+    done_.store(true);
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  [[noreturn]] static void report_and_exit(double elapsed, double budget_s) {
+    std::fprintf(stderr,
+                 "SOAK FAIL: watchdog: still running after %.1fs (budget "
+                 "%.1fs + %.0fs grace), in phase %s/%s; churn thread op "
+                 "counts:",
+                 elapsed, budget_s, kGraceSeconds, g_progress.phase.load(),
+                 g_progress.policy.load());
+    for (unsigned t = 0; t < g_progress.threads; ++t) {
+      std::fprintf(stderr, " t%u=%llu", t,
+                   static_cast<unsigned long long>(
+                       g_progress.ops[t].value.load()));
+    }
+    std::fprintf(stderr, "\n");
+    std::fflush(stderr);
+    std::_Exit(3);
+  }
+
+  std::atomic<bool> done_{false};
+  std::thread thread_;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -249,17 +313,25 @@ int main(int argc, char** argv) {
               "rss ceiling +%zu MB\n",
               cfg.seconds, cfg.policy.c_str(), cfg.rss_ceiling_mb);
 
+  constexpr double kWarmSeconds = 0.2;
+  g_progress.threads = cfg.threads;
+  g_progress.ops = std::make_unique<CachePadded<std::atomic<std::uint64_t>>[]>(
+      cfg.threads);
+  Watchdog watchdog(kWarmSeconds +
+                    cfg.seconds * (cfg.policy == "both" ? 2.0 : 1.0));
+
   // RSS baseline after a warm-up churn burst, so allocator warm-up and
   // thread stacks don't count against the ceiling.
   {
     SoakConfig warm = cfg;
-    warm.seconds = 0.2;
+    warm.seconds = kWarmSeconds;
     run_policy(ReclaimPolicy::kEbr, warm);
   }
   const std::size_t rss_before = rss_bytes();
 
   if (cfg.policy != "hp") run_policy(ReclaimPolicy::kEbr, cfg);
   if (cfg.policy != "ebr") run_policy(ReclaimPolicy::kHp, cfg);
+  watchdog.stop();
 
   const std::size_t rss_after = rss_bytes();
   if (rss_before != 0 && rss_after != 0) {

@@ -1,20 +1,18 @@
 // Unit tests for the core/ building blocks used by the PIM structures:
-// the sentinel directory, the vault-local skip-list, and the sequential
-// structures behind the flat-combining baselines.
+// the sentinel directory and the sequential list behind the flat-combining
+// list baseline. The skip-list store has its own suite
+// (test_skiplist_store.cpp).
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "baselines/seq_structures.hpp"
 #include "common/rng.hpp"
-#include "core/local_skiplist.hpp"
 #include "core/sentinel_directory.hpp"
-#include "runtime/vault.hpp"
 
 namespace pimds {
 namespace {
 
-using core::LocalSkipList;
 using core::SentinelDirectory;
 
 TEST(SentinelDirectory, RoutesByGreatestSentinelAtMostKey) {
@@ -72,57 +70,6 @@ TEST(SentinelDirectory, RepeatedSplitsStaySorted) {
   EXPECT_EQ(dir.route(5000), 1u);
 }
 
-TEST(LocalSkipList, MatchesStdSetAndCountsSteps) {
-  runtime::Vault vault(0, 16u << 20);
-  LocalSkipList list(vault, 0, 77);
-  std::set<std::uint64_t> reference;
-  Xoshiro256 rng(9);
-  std::uint64_t total_steps = 0;
-  for (int i = 0; i < 6000; ++i) {
-    const std::uint64_t key = rng.next_in(1, 500);
-    std::uint64_t steps = 0;
-    switch (rng.next_below(3)) {
-      case 0:
-        ASSERT_EQ(list.add(key, &steps), reference.insert(key).second);
-        break;
-      case 1:
-        ASSERT_EQ(list.remove(key, &steps), reference.erase(key) > 0);
-        break;
-      default:
-        ASSERT_EQ(list.contains(key, &steps), reference.count(key) > 0);
-    }
-    EXPECT_GT(steps, 0u);
-    total_steps += steps;
-  }
-  EXPECT_EQ(list.size(), reference.size());
-  EXPECT_GT(total_steps, 0u);
-}
-
-TEST(LocalSkipList, FirstAtLeastScansInOrder) {
-  runtime::Vault vault(0, 1u << 20);
-  LocalSkipList list(vault, 0, 3);
-  for (std::uint64_t k : {10u, 20u, 30u}) list.add(k);
-  EXPECT_EQ(list.first_at_least(1), std::optional<std::uint64_t>(10));
-  EXPECT_EQ(list.first_at_least(10), std::optional<std::uint64_t>(10));
-  EXPECT_EQ(list.first_at_least(11), std::optional<std::uint64_t>(20));
-  EXPECT_EQ(list.first_at_least(30), std::optional<std::uint64_t>(30));
-  EXPECT_EQ(list.first_at_least(31), std::nullopt);
-}
-
-TEST(LocalSkipList, MemoryIsReturnedToTheVault) {
-  runtime::Vault vault(0, 1u << 20);
-  LocalSkipList list(vault, 0, 3);
-  for (std::uint64_t k = 1; k <= 200; ++k) list.add(k);
-  const std::size_t peak = vault.bytes_used();
-  for (std::uint64_t k = 1; k <= 200; ++k) list.remove(k);
-  EXPECT_LT(vault.bytes_used(), peak);
-  // Re-adding recycles free-listed blocks; usage returns to roughly the
-  // previous peak (tower heights are random, so allow slack for a taller
-  // second population).
-  for (std::uint64_t k = 1; k <= 200; ++k) list.add(k);
-  EXPECT_LE(vault.bytes_used(), peak + 1024);
-}
-
 TEST(SeqList, CursorBatchesEqualScratchExecution) {
   baselines::SeqList with_cursor;
   baselines::SeqList plain;
@@ -141,26 +88,6 @@ TEST(SeqList, CursorBatchesEqualScratchExecution) {
     EXPECT_EQ(with_cursor.add_from(&cursor, k), plain.add(k)) << k;
   }
   EXPECT_EQ(with_cursor.size(), plain.size());
-}
-
-TEST(SeqSkipList, MatchesStdSet) {
-  baselines::SeqSkipList list(0, 5);
-  std::set<std::uint64_t> reference;
-  Xoshiro256 rng(31);
-  for (int i = 0; i < 5000; ++i) {
-    const std::uint64_t key = rng.next_in(1, 400);
-    switch (rng.next_below(3)) {
-      case 0:
-        ASSERT_EQ(list.add(key), reference.insert(key).second);
-        break;
-      case 1:
-        ASSERT_EQ(list.remove(key), reference.erase(key) > 0);
-        break;
-      default:
-        ASSERT_EQ(list.contains(key), reference.count(key) > 0);
-    }
-  }
-  EXPECT_EQ(list.size(), reference.size());
 }
 
 }  // namespace

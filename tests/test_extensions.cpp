@@ -1,6 +1,6 @@
 // Tests for the extension features beyond the paper's core: the
-// auto-rebalancing policy, runtime fat-node enqueue combining, the
-// simulated Michael-Scott queue, and the LocalSkipList migration helpers.
+// auto-rebalancing policy, runtime fat-node enqueue combining and the
+// simulated Michael-Scott queue.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,74 +10,12 @@
 #include "common/rng.hpp"
 #include "common/zipf.hpp"
 #include "core/auto_rebalancer.hpp"
-#include "core/local_skiplist.hpp"
 #include "core/pim_fifo_queue.hpp"
 #include "core/pim_skiplist.hpp"
 #include "sim/ds/queues.hpp"
 
 namespace pimds {
 namespace {
-
-TEST(LocalSkipListMigrationHelpers, ExtractDrainsInAscendingOrder) {
-  runtime::Vault vault(0, 4u << 20);
-  core::LocalSkipList list(vault, 0, 11);
-  Xoshiro256 rng(1);
-  std::set<std::uint64_t> keys;
-  for (int i = 0; i < 500; ++i) {
-    const std::uint64_t k = rng.next_in(1, 5000);
-    if (list.add(k)) keys.insert(k);
-  }
-  // Extract [100, 2000) and check order + completeness.
-  std::uint64_t cursor = 100;
-  std::vector<std::uint64_t> extracted;
-  for (;;) {
-    const auto k = list.extract_first_at_least(cursor);
-    if (!k.has_value() || *k >= 2000) break;
-    extracted.push_back(*k);
-    cursor = *k + 1;
-  }
-  std::vector<std::uint64_t> expected;
-  for (const auto k : keys) {
-    if (k >= 100 && k < 2000) expected.push_back(k);
-  }
-  EXPECT_EQ(extracted, expected);
-  for (const auto k : expected) EXPECT_FALSE(list.contains(k));
-}
-
-TEST(LocalSkipListMigrationHelpers, AscendingInsertMatchesRegularAdd) {
-  runtime::Vault vault(0, 4u << 20);
-  core::LocalSkipList via_cursor(vault, 0, 3);
-  runtime::Vault vault2(1, 4u << 20);
-  core::LocalSkipList regular(vault2, 0, 3);
-  core::LocalSkipList::InsertCursor cursor;
-  Xoshiro256 rng(2);
-  std::vector<std::uint64_t> keys;
-  for (int i = 0; i < 400; ++i) keys.push_back(rng.next_in(1, 1000));
-  std::sort(keys.begin(), keys.end());
-  for (const auto k : keys) {
-    ASSERT_EQ(via_cursor.insert_ascending(cursor, k), regular.add(k)) << k;
-  }
-  EXPECT_EQ(via_cursor.size(), regular.size());
-  for (std::uint64_t k = 1; k <= 1000; ++k) {
-    ASSERT_EQ(via_cursor.contains(k), regular.contains(k)) << k;
-  }
-}
-
-TEST(LocalSkipListMigrationHelpers, CursorSurvivesInterleavedMutations) {
-  runtime::Vault vault(0, 4u << 20);
-  core::LocalSkipList list(vault, 0, 7);
-  core::LocalSkipList::InsertCursor cursor;
-  for (std::uint64_t k = 10; k <= 300; k += 10) {
-    ASSERT_TRUE(list.insert_ascending(cursor, k));
-    if (k % 50 == 0) {
-      list.add(k + 1);       // invalidates the fingers
-      list.remove(k - 10);
-    }
-  }
-  EXPECT_TRUE(list.contains(300));
-  EXPECT_TRUE(list.contains(51));
-  EXPECT_FALSE(list.contains(40));
-}
 
 TEST(AutoRebalancer, SpreadsAZipfHotSpot) {
   runtime::PimSystem::Config config;

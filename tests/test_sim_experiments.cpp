@@ -290,5 +290,24 @@ TEST(SimDeterminism, SameSeedSameResult) {
             run_fc_list(lcfg, true).total_ops);
 }
 
+// Bit-identity pins: the exact op counts of fixed-seed skip-list runs.
+// Tower heights, beta step counts and where the charges fall all feed
+// virtual time, so any drift in the skip-list store or in how the sim
+// drives it moves these numbers.
+TEST(SimDeterminism, SkipListRunsMatchRecordedTotals) {
+  SkipListConfig cfg;
+  cfg.seed = 7;
+  EXPECT_EQ(run_pim_skiplist(cfg, 8).total_ops, 9746u);
+  EXPECT_EQ(run_fc_skiplist(cfg, 4).total_ops, 2018u);
+  EXPECT_EQ(run_lockfree_skiplist(cfg).total_ops, 4969u);
+
+  RebalanceConfig rcfg;
+  rcfg.seed = 7;
+  const RebalanceResult r = run_pim_skiplist_rebalance(rcfg);
+  EXPECT_EQ(r.before.total_ops, 5781u);
+  EXPECT_EQ(r.after.total_ops, 12477u);
+  EXPECT_EQ(r.migrated_keys, 8129u);
+}
+
 }  // namespace
 }  // namespace pimds::sim

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "sim/ds/queues.hpp"
-#include "sim/ds/skiplist_common.hpp"
 #include "sim/ds/skiplists.hpp"
 #include "sim_test_util.hpp"
 
@@ -197,50 +196,6 @@ TEST(ActiveRebalanceMutation, SplitOffByOneIsFlaggedByImbalance) {
   EXPECT_GE(mutant.migrations, 2 * clean.migrations);
   EXPECT_GT(mutant.migrations_late, 0u);
   EXPECT_GT(mutant.peak_imbalance(2 * d / 3, d, 200), 3.5);
-}
-
-TEST(InsertCursor, AscendingInsertsMatchRegularInserts) {
-  Engine engine;
-  engine.spawn("t", [](Context& ctx) {
-    SimSkipList via_cursor(0);
-    SimSkipList regular(0);
-    SimSkipList::InsertCursor cursor;
-    Xoshiro256 rng(5);
-    std::vector<std::uint64_t> keys;
-    for (int i = 0; i < 500; ++i) keys.push_back(rng.next_in(1, 2000));
-    std::sort(keys.begin(), keys.end());
-    for (const std::uint64_t k : keys) {
-      const bool a = via_cursor.insert_ascending(ctx, cursor, k,
-                                                 MemClass::kPimLocal);
-      const bool b = regular.execute(ctx, SetOp::kAdd, k,
-                                     MemClass::kPimLocal);
-      ASSERT_EQ(a, b) << k;
-    }
-    ASSERT_EQ(via_cursor.keys(), regular.keys());
-  });
-  engine.run();
-}
-
-TEST(InsertCursor, SurvivesInterleavedMutations) {
-  Engine engine;
-  engine.spawn("t", [](Context& ctx) {
-    SimSkipList list(0);
-    SimSkipList::InsertCursor cursor;
-    // Ascending inserts with unrelated mutations in between (which
-    // invalidate the fingers and force a re-seed).
-    for (std::uint64_t k = 10; k <= 500; k += 10) {
-      ASSERT_TRUE(list.insert_ascending(ctx, cursor, k, MemClass::kPimLocal));
-      if (k % 50 == 0) {
-        list.execute(ctx, SetOp::kAdd, k + 5, MemClass::kPimLocal);
-        list.execute(ctx, SetOp::kRemove, k - 10, MemClass::kPimLocal);
-      }
-    }
-    // Spot-check membership.
-    EXPECT_TRUE(list.execute(ctx, SetOp::kContains, 500, MemClass::kPimLocal));
-    EXPECT_FALSE(list.execute(ctx, SetOp::kContains, 40, MemClass::kPimLocal));
-    EXPECT_TRUE(list.execute(ctx, SetOp::kContains, 55, MemClass::kPimLocal));
-  });
-  engine.run();
 }
 
 TEST(FatNodeCombining, SpeedsUpTheEnqueueSide) {

@@ -1,5 +1,6 @@
 // Semantic tests for the simulator's data-structure bodies: they must be
-// correct sets regardless of what latency they charge.
+// correct sets regardless of what latency they charge. The skip-list store
+// itself is tested in test_skiplist_store.cpp; here only its sim binding.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -106,53 +107,32 @@ TEST(SimList, CombinedBatchMatchesSequentialExecution) {
   });
 }
 
-TEST(SimSkipList, MatchesStdSetOnRandomOps) {
+TEST(SimSkipListBinding, ChargesEachOperationsStepsOnceAndCountsBeta) {
   with_context([](Context& ctx) {
-    SimSkipList list(0);
-    std::set<std::uint64_t> reference;
-    Xoshiro256 rng(13);
-    for (int i = 0; i < 5000; ++i) {
-      const std::uint64_t key = rng.next_in(1, 400);
-      const SetOp op = static_cast<SetOp>(rng.next_below(3));
-      const bool got = list.execute(ctx, op, key, MemClass::kCpuDram);
-      bool want = false;
-      switch (op) {
-        case SetOp::kAdd:
-          want = reference.insert(key).second;
-          break;
-        case SetOp::kRemove:
-          want = reference.erase(key) > 0;
-          break;
-        case SetOp::kContains:
-          want = reference.count(key) > 0;
-          break;
-      }
-      ASSERT_EQ(got, want);
-      ASSERT_EQ(list.size(), reference.size());
-    }
-    const auto keys = list.keys();
-    auto it = reference.begin();
-    ASSERT_EQ(keys.size(), reference.size());
-    for (const std::uint64_t k : keys) EXPECT_EQ(k, *it++);
-  });
-}
-
-TEST(SimSkipList, ObservedBetaIsLogarithmic) {
-  with_context([](Context& ctx) {
-    SimSkipList list(0);
+    core::HeapSkipList list(core::heap_arena, 0);
     Xoshiro256 rng(17);
-    list.populate(rng, 1 << 14, 1, 1 << 16);
+    while (list.size() < (1u << 14)) list.add(rng.next_in(1, 1 << 16), rng);
+    BetaCounter beta;
+    const double step_ns = ctx.engine().params().latency(MemClass::kCpuDram);
     for (int i = 0; i < 2000; ++i) {
-      list.execute(ctx, SetOp::kContains, rng.next_in(1, 1 << 16),
-                   MemClass::kCpuDram);
+      const std::uint64_t key = rng.next_in(1, 1 << 16);
+      std::uint64_t steps = 0;
+      const bool want = list.contains(key, &steps);
+      const Time before = ctx.now();
+      ASSERT_EQ(execute_set_op(ctx, list, SetOp::kContains, key,
+                               MemClass::kCpuDram, &beta),
+                want);
+      const double charged = static_cast<double>(ctx.now() - before);
+      ASSERT_NEAR(charged, step_ns * static_cast<double>(steps), 1.0);
     }
+    EXPECT_EQ(beta.searches, 2000u);
     // beta = Theta(log N): ~2 log2(16384) = 28, generously bracketed.
-    EXPECT_GT(list.observed_beta(), 14.0);
-    EXPECT_LT(list.observed_beta(), 56.0);
+    EXPECT_GT(beta.observed_beta(), 14.0);
+    EXPECT_LT(beta.observed_beta(), 56.0);
   });
 }
 
-TEST(SimSkipList, SentinelPartitioningRoutesEveryKeyOnce) {
+TEST(SkipListPartitions, SentinelPartitioningRoutesEveryKeyOnce) {
   // partition_of and partition_sentinel must tile [1, N] exactly.
   const std::uint64_t n = 1000;
   for (std::size_t k : {1u, 3u, 8u, 16u}) {
